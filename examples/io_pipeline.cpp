@@ -46,8 +46,9 @@ int main() {
   aio::SimDisk disk0("src-disk", kBlocks * kBlock, dm);
   aio::SimDisk disk1("dst-disk", kBlocks * kBlock, dm);
 
-  // Hook both disks into the two ranks' task managers (the engines expose
-  // them); each rank's idle workers poll its own disk.
+  // Hook both disks into the ranks' task manager (the engines expose it;
+  // both ranks share the World's one PIOMan node): the node's idle
+  // workers poll both disks alongside the communication tasks.
   auto& engine0 = dynamic_cast<mpi::PiomanEngine&>(world.engine(0));
   auto& engine1 = dynamic_cast<mpi::PiomanEngine&>(world.engine(1));
   aio::AioManager aio0(engine0.task_manager(), {&disk0});

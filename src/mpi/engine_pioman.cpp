@@ -6,16 +6,28 @@
 
 namespace piom::mpi {
 
-PiomanEngine::PiomanEngine(nmad::Session& session, PiomanEngineConfig config)
-    : session_(session),
-      config_(config),
-      machine_(topo::Machine::flat(config.workers)),
+PiomanNode::PiomanNode(int workers)
+    : machine_(topo::Machine::flat(workers)),
       tm_(machine_),
-      runtime_(machine_, tm_) {
-  if (config_.timer) {
-    timer_.emplace(tm_, config_.timer_period);
-  }
+      runtime_(machine_, tm_),
+      timer_(tm_, kTimerPeriod) {}
+
+void PiomanNode::stop() {
+  timer_.stop();
+  runtime_.stop();
 }
+
+int PiomanNode::next_home() {
+  home_lock_.lock();
+  const int home = home_;
+  home_ = (home_ + 1) % machine_.ncpus();
+  home_lock_.unlock();
+  return home;
+}
+
+PiomanEngine::PiomanEngine(nmad::Session& session, PiomanNode& node,
+                           PiomanEngineConfig config)
+    : session_(session), node_(node), config_(config) {}
 
 PiomanEngine::~PiomanEngine() { shutdown(); }
 
@@ -100,11 +112,11 @@ void PiomanEngine::watch_gate(nmad::Gate& gate) {
     pt.gate = &gate;
     pt.rail = r;
     pt.engine = this;
-    const topo::CpuSet cpus = machine_.siblings_sharing_cache(home_);
-    home_ = (home_ + 1) % machine_.ncpus();
+    const topo::CpuSet cpus =
+        node_.machine().siblings_sharing_cache(node_.next_home());
     pt.task.init(&poll_trampoline, &pt, cpus,
                  piom::kTaskRepeat | piom::kTaskNotify);
-    tm_.submit(&pt.task);
+    node_.task_manager().submit(&pt.task);
   }
   poll_lock_.unlock();
 }
@@ -125,7 +137,7 @@ void PiomanEngine::isend(Request& req, nmad::Gate& gate, Tag tag,
   // other progression path flushed the message before this task ran.
   int cpu = sched::Runtime::current_cpu();
   if (cpu < 0) cpu = 0;
-  const int idle = runtime_.find_idle_near(cpu);
+  const int idle = node_.runtime().find_idle_near(cpu);
   const topo::CpuSet cpus =
       (idle >= 0) ? topo::CpuSet::single(idle) : topo::CpuSet{};
   SubmitJob* job = acquire_submit_job();
@@ -133,7 +145,7 @@ void PiomanEngine::isend(Request& req, nmad::Gate& gate, Tag tag,
   job->task.init(&flush_trampoline, job, cpus, piom::kTaskNone);
   job->task.on_done = &submit_job_done;
   submit_jobs_in_flight_.fetch_add(1, std::memory_order_acquire);
-  tm_.submit(&job->task);
+  node_.task_manager().submit(&job->task);
 }
 
 void PiomanEngine::irecv(Request& req, nmad::Gate& gate, Tag tag, void* buf,
@@ -155,20 +167,20 @@ void PiomanEngine::wait(Request& req) {
   // park on the semaphore — the background tasks do the polling. Repeated
   // waits on the same request are fine (wait_done's completed() fast path;
   // the completion token is drained by RequestCore::reset on reuse).
-  sched::BlockingSection bs(runtime_);
+  sched::BlockingSection bs(node_.runtime());
   core.wait_done();
 }
 
 bool PiomanEngine::test(Request& req) {
   if (req.done()) return true;
   // MPI_Test drives progress: contribute one scheduling pass.
-  runtime_.schedule_here();
+  node_.runtime().schedule_here();
   return req.done();
 }
 
 bool PiomanEngine::test_coll(CollOp& op) {
   if (op.done()) return true;
-  runtime_.schedule_here();  // one scheduling pass (runs poll tasks)
+  node_.runtime().schedule_here();  // one scheduling pass (runs poll tasks)
   advance_colls();
   return op.done();
 }
@@ -177,16 +189,16 @@ void PiomanEngine::wait_coll(CollOp& op) {
   if (op.done()) return;
   // Park like wait(): the background poll tasks advance the collective's
   // rounds and the finishing sweep posts the completion semaphore.
-  sched::BlockingSection bs(runtime_);
+  sched::BlockingSection bs(node_.runtime());
   op.core().wait_done();
 }
 
 void PiomanEngine::shutdown() {
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
-  // Outstanding offloaded submissions must run before the workers stop
-  // (their tasks reference engine state).
+  // Outstanding offloaded submissions must run before the engine goes
+  // away (their tasks reference engine state).
   while (submit_jobs_in_flight_.load(std::memory_order_acquire) > 0) {
-    runtime_.schedule_here();
+    node_.runtime().schedule_here();
   }
   // Poll tasks observe stopping_ on their next execution and finish. Wait
   // on a snapshot taken under the lock: watch_gate refuses new gates once
@@ -200,8 +212,6 @@ void PiomanEngine::shutdown() {
   for (PollTask* pt : draining) {
     pt->task.wait_done();
   }
-  if (timer_) timer_->stop();
-  runtime_.stop();
 }
 
 }  // namespace piom::mpi

@@ -1,5 +1,9 @@
 // PiomanEngine — the paper's system (MAD-MPI over NewMadeleine + PIOMan).
 //
+//   * One PiomanNode per node (paper §III: one PIOMan per node): World
+//     owns one for all its ranks, a multi-process rank owns its own, and
+//     every rank's engine borrows it. All ranks' tasks feed the node's one
+//     task manager and run on its one set of workers.
 //   * One repeatable polling task per (gate, rail), submitted to the task
 //     manager with a cpuset of cores sharing a cache (paper §IV-B), executed
 //     by idle runtime workers and by the timer hook when everyone is busy.
@@ -15,7 +19,6 @@
 #include <chrono>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -24,25 +27,65 @@
 #include "nmad/session.hpp"
 #include "sched/runtime.hpp"
 #include "sched/timer.hpp"
+#include "sync/spinlock.hpp"
 
 namespace piom::mpi {
 
 struct PiomanEngineConfig {
-  /// Simulated cores of this "node" (runtime workers doing the polling).
+  /// Simulated cores of the PIOMan node (runtime workers doing the
+  /// polling). The node is shared by every rank of a World, so this is the
+  /// World's worker count, not a per-rank one.
   int workers = 4;
-  /// Timer-interrupt hook (progress guarantee under full CPU load).
-  bool timer = true;
-  std::chrono::microseconds timer_period{100};
   /// Offload packet submission to an idle core (paper §IV-B). When false
   /// the send path is inline (ablation).
   bool offload_submission = true;
 };
 
+/// One PIOMan progression node: `workers` simulated cores, the task
+/// manager every rank's poll, offload and collective tasks feed, the
+/// runtime whose workers run them, and the timer hook that guarantees
+/// progress when every core is busy. The machine, task manager, runtime
+/// and timer are built once and never reseated; their own shared state is
+/// internally synchronised. The one mutable piece of node state is the
+/// poll-task placement cursor.
+class PiomanNode {
+ public:
+  explicit PiomanNode(int workers);
+  ~PiomanNode() { stop(); }
+
+  PiomanNode(const PiomanNode&) = delete;
+  PiomanNode& operator=(const PiomanNode&) = delete;
+
+  /// Stop the timer, then join the workers (idempotent). Every engine on
+  /// the node must have shut down first: their tasks reference rank state.
+  void stop();
+
+  /// Home core for the next poll task: round-robin across the node, so
+  /// the poll tasks of all ranks spread over every core.
+  int next_home();
+
+  [[nodiscard]] const topo::Machine& machine() const { return machine_; }
+  [[nodiscard]] TaskManager& task_manager() { return tm_; }
+  [[nodiscard]] sched::Runtime& runtime() { return runtime_; }
+
+ private:
+  static constexpr std::chrono::microseconds kTimerPeriod{100};
+
+  const topo::Machine machine_;
+  TaskManager tm_;
+  sched::Runtime runtime_;
+  sched::TimerHook timer_;
+  sync::SpinLock home_lock_;
+  int home_ PIOM_GUARDED_BY(home_lock_) = 0;
+};
+
 class PiomanEngine final : public Engine {
  public:
-  /// `session` must outlive the engine. Call start_progress() after the
+  /// `session` and `node` must outlive the engine; the engine schedules
+  /// into `node` but never stops it. Call start_progress() after the
   /// session's gates are created.
-  PiomanEngine(nmad::Session& session, PiomanEngineConfig config = {});
+  PiomanEngine(nmad::Session& session, PiomanNode& node,
+               PiomanEngineConfig config = {});
   ~PiomanEngine() override;
 
   /// Install one repeatable polling task per (gate, rail) for the gates
@@ -67,10 +110,12 @@ class PiomanEngine final : public Engine {
   bool test_coll(CollOp& op) override;
   void wait_coll(CollOp& op) override;
   [[nodiscard]] std::string name() const override { return "pioman"; }
+  /// Drain this rank's offloaded submissions and poll tasks. The node's
+  /// workers keep running for the other ranks; its owner stops it.
   void shutdown() override;
 
-  [[nodiscard]] TaskManager& task_manager() { return tm_; }
-  [[nodiscard]] sched::Runtime& runtime() { return runtime_; }
+  /// The node's task manager, shared with every other rank on the node.
+  [[nodiscard]] TaskManager& task_manager() { return node_.task_manager(); }
 
  private:
   struct PollTask {
@@ -98,19 +143,14 @@ class PiomanEngine final : public Engine {
   void release_submit_job(SubmitJob* job);
 
   nmad::Session& session_;
+  PiomanNode& node_;
   PiomanEngineConfig config_;
-  topo::Machine machine_;
-  TaskManager tm_;
-  sched::Runtime runtime_;
-  std::optional<sched::TimerHook> timer_;
   /// Poll-task table. The deque grows while tasks run (late gates), so the
   /// lock guards every structural access; PollTask storage is stable once
-  /// emplaced. watched_ dedups watch_gate; home_ round-robins task
-  /// placement across the node's cores.
+  /// emplaced. watched_ dedups watch_gate.
   sync::SpinLock poll_lock_;
   std::deque<PollTask> poll_tasks_ PIOM_GUARDED_BY(poll_lock_);
   std::unordered_set<nmad::Gate*> watched_ PIOM_GUARDED_BY(poll_lock_);
-  int home_ PIOM_GUARDED_BY(poll_lock_) = 0;
   sync::SpinLock submit_pool_lock_;
   SubmitJob* submit_pool_ PIOM_GUARDED_BY(submit_pool_lock_) = nullptr;
   /// Storage owner.

@@ -20,7 +20,7 @@ const char* engine_kind_name(EngineKind k) {
 LocalRank::LocalRank(
     int rank, int nranks,
     const std::vector<std::vector<transport::IChannel*>>& rails_by_peer,
-    const RankConfig& config)
+    const RankConfig& config, PiomanNode* node)
     : rank_(rank), nranks_(nranks) {
   if (nranks < 2) throw std::invalid_argument("LocalRank: nranks >= 2");
   if (rank < 0 || rank >= nranks) {
@@ -30,7 +30,7 @@ LocalRank::LocalRank(
     throw std::invalid_argument(
         "LocalRank: rails_by_peer must have one entry per rank");
   }
-  init(rails_by_peer, config);
+  init(rails_by_peer, config, node);
 }
 
 LocalRank::LocalRank(transport::Bootstrap bootstrap, const RankConfig& config)
@@ -44,12 +44,18 @@ LocalRank::LocalRank(transport::Bootstrap bootstrap, const RankConfig& config)
     rails[static_cast<std::size_t>(peer)] = {
         bootstrap_->channels()[static_cast<std::size_t>(peer)]};
   }
-  init(rails, config);
+  if (config.engine == EngineKind::kPioman) {
+    own_node_ = std::make_unique<PiomanNode>(config.pioman.workers);
+  }
+  init(rails, config, own_node_.get());
 }
 
 void LocalRank::init(
     const std::vector<std::vector<transport::IChannel*>>& rails_by_peer,
-    const RankConfig& config) {
+    const RankConfig& config, PiomanNode* node) {
+  if (config.engine == EngineKind::kPioman && node == nullptr) {
+    throw std::invalid_argument("LocalRank: a pioman rank needs a PiomanNode");
+  }
   session_ = std::make_unique<nmad::Session>(
       "rank" + std::to_string(rank_), config.session);
   // The membership layer owns the by-peer gate table and the routing
@@ -69,7 +75,8 @@ void LocalRank::init(
   }
   switch (config.engine) {
     case EngineKind::kPioman: {
-      auto engine = std::make_unique<PiomanEngine>(*session_, config.pioman);
+      auto engine =
+          std::make_unique<PiomanEngine>(*session_, *node, config.pioman);
       engine->start_progress();  // covers the eager gates above
       // Gates installed from here on (lazy wiring) join the poll set
       // through the membership's creation hook.
@@ -107,6 +114,7 @@ LocalRank::~LocalRank() { shutdown(); }
 
 void LocalRank::shutdown() {
   if (engine_) engine_->shutdown();
+  if (own_node_) own_node_->stop();
 }
 
 }  // namespace piom::mpi

@@ -51,15 +51,18 @@ class LocalRank {
   /// peer entry means "no eager gate" — the pair is wired lazily through
   /// the membership's connector on first contact (World's default shape).
   /// Channels must outlive this rank — World keeps them alive via its
-  /// Cluster.
+  /// Cluster. A pioman rank schedules into the caller's `node`, which must
+  /// outlive it and is stopped by the caller; the baseline engines take
+  /// none.
   LocalRank(int rank, int nranks,
             const std::vector<std::vector<transport::IChannel*>>&
                 rails_by_peer,
-            const RankConfig& config = {});
+            const RankConfig& config, PiomanNode* node);
 
   /// Multi-process rank: takes ownership of a completed Bootstrap (the
   /// socket transport it owns must outlive the session, so it moves in
-  /// here) and wires one single-rail gate per peer data channel.
+  /// here) and wires one single-rail gate per peer data channel. A pioman
+  /// rank is alone in its process, so it owns its PIOMan node.
   explicit LocalRank(transport::Bootstrap bootstrap,
                      const RankConfig& config = {});
 
@@ -80,21 +83,24 @@ class LocalRank {
   /// Null for in-process ranks.
   [[nodiscard]] transport::Bootstrap* bootstrap() { return bootstrap_.get(); }
 
-  /// Stop background machinery (idempotent; dtor calls it).
+  /// Stop background machinery (idempotent; dtor calls it): the engine's
+  /// tasks, then the owned node's threads, if any.
   void shutdown();
 
  private:
   void init(const std::vector<std::vector<transport::IChannel*>>&
                 rails_by_peer,
-            const RankConfig& config);
+            const RankConfig& config, PiomanNode* node);
 
   int rank_;
   int nranks_;
   // Destruction order matters: comm_ and detector_ go first, then the
-  // engine (stops progress threads), then the membership and the session
-  // it references, and the bootstrap's transport — which the session's
-  // channels live on — very last.
+  // engine, then the membership and the session it references, then the
+  // owned node (already stopped by shutdown), and the bootstrap's
+  // transport — which the session's channels live on — very last.
   std::unique_ptr<transport::Bootstrap> bootstrap_;
+  /// Multi-process ranks only: this process's PIOMan node.
+  std::unique_ptr<PiomanNode> own_node_;
   std::unique_ptr<nmad::Session> session_;
   std::unique_ptr<Membership> membership_;
   std::unique_ptr<Engine> engine_;

@@ -52,11 +52,15 @@ World::World(WorldConfig config) : config_(config) {
   rc.pioman = config_.pioman;
   rc.failure = config_.failure;
   rc.overlay = config_.overlay;
+  if (config_.engine == EngineKind::kPioman) {
+    node_ = std::make_unique<PiomanNode>(config_.pioman.workers);
+  }
   const std::vector<std::vector<transport::IChannel*>> no_rails(
       static_cast<std::size_t>(n));
   ranks_.reserve(static_cast<std::size_t>(n));
   for (int rank = 0; rank < n; ++rank) {
-    ranks_.push_back(std::make_unique<LocalRank>(rank, n, no_rails, rc));
+    ranks_.push_back(
+        std::make_unique<LocalRank>(rank, n, no_rails, rc, node_.get()));
   }
   // Connectors go in only after EVERY rank's engine and detector exist:
   // the first connect_pair installs gates on both endpoints, and a
@@ -86,6 +90,7 @@ void World::shutdown() {
   for (auto& rank : ranks_) {
     if (rank) rank->shutdown();
   }
+  if (node_) node_->stop();
 }
 
 std::unique_ptr<LocalRank> World::local(transport::Bootstrap bootstrap,

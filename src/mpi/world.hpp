@@ -45,7 +45,9 @@ struct WorldConfig {
   /// Multiplies every modelled network delay.
   double time_scale = 1.0;
   nmad::SessionConfig session{};
-  /// PIOMan node configuration (ignored by the baseline engines).
+  /// PIOMan node configuration (ignored by the baseline engines). One
+  /// node serves every rank, so `pioman.workers` counts the World's
+  /// workers.
   PiomanEngineConfig pioman{};
   /// Transport backend selection per rank pair. With an empty `node_of`
   /// the policy is resolved from $PIOM_TRANSPORT instead (the CI backend
@@ -125,7 +127,8 @@ class World {
   /// detector every survivor touching the victim would simply hang).
   void kill_rank(int victim);
 
-  /// Stop background machinery of every rank (idempotent; dtor calls it).
+  /// Stop background machinery (idempotent; dtor calls it): every rank's
+  /// engine first, then the shared PIOMan node.
   void shutdown();
 
  private:
@@ -143,6 +146,9 @@ class World {
   // The cluster (all channels) must outlive every rank's session: ranks_
   // is declared after cluster_ so it is destroyed first.
   std::unique_ptr<transport::Cluster> cluster_;
+  /// The one PIOMan node every pioman rank schedules into (null for the
+  /// baseline engines). Declared before ranks_ so it outlives them.
+  std::unique_ptr<PiomanNode> node_;
   std::vector<std::unique_ptr<LocalRank>> ranks_;
   /// Ranks kill_rank has struck; connect_pair consults it so lazy wiring
   /// racing a kill cannot resurrect a dead rank's connectivity.

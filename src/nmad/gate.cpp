@@ -111,6 +111,21 @@ void Gate::isend(SendRequest& req, Tag tag, const void* buf, std::size_t len,
 void Gate::flush() { submit_pending(); }
 
 void Gate::submit_pending() {
+  // Non-overtaking: one thread at a time drains the FIFO, so packets reach
+  // the wire in pop order even though posting happens outside lock_. A
+  // caller that finds a drain in progress leaves its requests to the
+  // owner. The owner re-checks the FIFO after releasing ownership: a
+  // request enqueued just before the release would otherwise be stranded
+  // (its submitter's try_lock failed while the owner still held it).
+  for (;;) {
+    if (!drain_lock_.try_lock()) return;
+    drain_pending();
+    drain_lock_.unlock();
+    if (pending_sends() == 0) return;
+  }
+}
+
+void Gate::drain_pending() {
   // The strategy layer: drain the pending FIFO, turning requests into wire
   // packets — one per eager message, one RTS per rendezvous, or one kPack
   // covering a run of small messages when aggregation is enabled.

@@ -105,7 +105,9 @@ class Gate {
   void remove_expected(RecvRequest& req);
 
   /// Pack and post every pending send (strategy layer: aggregation, rail
-  /// selection). Safe to call from any thread, including concurrently.
+  /// selection). Safe to call from any thread, including concurrently:
+  /// one caller drains at a time and the others return at once, leaving
+  /// their requests to it, so packets keep the FIFO's order on the wire.
   void flush();
 
   // ---- multi-hop forwarding (sparse overlays; see src/mpi/membership) ----
@@ -265,7 +267,10 @@ class Gate {
                          std::size_t len, SendRequest* req);
 
   // Pending-send packing (strategy layer). Must be called WITHOUT lock_.
-  void submit_pending() PIOM_EXCLUDES(lock_);
+  // submit_pending elects one drain owner (drain_lock_) that runs
+  // drain_pending until the FIFO is empty.
+  void submit_pending() PIOM_EXCLUDES(lock_, drain_lock_);
+  void drain_pending() PIOM_REQUIRES(drain_lock_) PIOM_EXCLUDES(lock_);
   void post_pw(PacketWrapper* pw, int rail_index);
 
   /// Deliver `payload` into a matched receive and complete it.
@@ -286,6 +291,10 @@ class Gate {
   /// fast path no longer contends with senders on lock_.
   TagMatcher matcher_;
 
+  /// Drain ownership: held (try_lock only, never waited on) by the one
+  /// thread turning pending sends into packets, which keeps same-tag
+  /// messages from one sender in order on the wire.
+  sync::SpinLock drain_lock_;
   mutable sync::SpinLock lock_;  // pending sends + reliability + rdv state
   /// Intrusive FIFO of deferred sends.
   SendRequest* pending_head_ PIOM_GUARDED_BY(lock_) = nullptr;

@@ -1,11 +1,8 @@
 #include "sched/runtime.hpp"
 
-#include <pthread.h>
-
 #include <functional>
 
 #include "sync/backoff.hpp"
-#include "util/log.hpp"
 
 namespace piom::sched {
 
@@ -29,23 +26,11 @@ Runtime::Runtime(const topo::Machine& machine, TaskManager& tm,
 
 Runtime::~Runtime() { stop(); }
 
-void Runtime::pin_to_host_cpu(int cpu) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0 || static_cast<unsigned>(cpu) >= hw) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(cpu), &set);
-  // Best effort: containers may deny affinity changes.
-  if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) != 0) {
-    PIOM_LOG_DEBUG("pinning worker %d failed (ignored)", cpu);
-  }
-}
-
 int Runtime::current_cpu() { return tls_current_cpu; }
 
 void Runtime::worker_loop(int cpu) {
   tls_current_cpu = cpu;
-  if (config_.pin_threads) pin_to_host_cpu(cpu);
+  if (config_.pin_threads) topo::pin_current_thread(cpu);
   Worker& w = *workers_[static_cast<std::size_t>(cpu)];
   int idle_spins = 0;
   while (running_.load(std::memory_order_acquire)) {

@@ -110,7 +110,6 @@ class Runtime {
   };
 
   void worker_loop(int cpu);
-  static void pin_to_host_cpu(int cpu);
 
   const topo::Machine& machine_;
   TaskManager& tm_;

@@ -6,6 +6,7 @@
 
 #include "simnet/fabric.hpp"
 #include "sync/backoff.hpp"
+#include "topo/machine.hpp"
 #include "util/timing.hpp"
 #include "util/trace.hpp"
 
@@ -31,9 +32,32 @@ double Nic::drop_draw() {
 
 Nic::~Nic() { stop(); }
 
+namespace {
+
+/// Host CPU for the next engine thread, round-robin in creation order.
+/// Engines spin while hot (see engine_loop). Left to the kernel, a new
+/// thread stays where it was created once every CPU runs a pinned, busy
+/// progression worker, so the two engines of a link, created back to back
+/// by one thread, would either share that thread's CPU for the link's
+/// whole life or not, depending on what happened to be idle at that
+/// instant. Pinning them in turn makes the placement the same in every
+/// run.
+int next_engine_cpu() {
+  static std::atomic<unsigned> next{0};
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw == 0) return -1;
+  return static_cast<int>(next.fetch_add(1, std::memory_order_relaxed) % hw);
+}
+
+}  // namespace
+
 void Nic::start() {
   running_.store(true, std::memory_order_release);
-  engine_ = std::thread([this] { engine_loop(); });
+  engine_cpu_ = next_engine_cpu();
+  engine_ = std::thread([this] {
+    topo::pin_current_thread(engine_cpu_);
+    engine_loop();
+  });
 }
 
 void Nic::stop() {

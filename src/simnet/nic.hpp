@@ -100,6 +100,12 @@ class Nic final : public transport::IChannel {
     return link_.latency_us + link_.packet_overhead_us;
   }
 
+  /// Host CPU the engine thread pins itself to, round-robin in creation
+  /// order, so the two ends of a link never share one while the host has
+  /// two or more (best effort: see topo::pin_current_thread); -1 when the
+  /// host CPU count is unknown.
+  [[nodiscard]] int engine_cpu() const { return engine_cpu_; }
+
  private:
   friend class Fabric;
   Nic(Fabric& fabric, std::string name, LinkModel link);
@@ -164,6 +170,7 @@ class Nic final : public transport::IChannel {
 
   std::atomic<bool> severed_{false};
   std::atomic<bool> running_{false};
+  int engine_cpu_ = -1;  ///< set by start(), before the engine runs
   std::thread engine_;
 };
 

@@ -1,5 +1,7 @@
 #include "topo/machine.hpp"
 
+#include <pthread.h>
+
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -330,6 +332,19 @@ std::string Machine::to_string() const {
     }
   }
   return os.str();
+}
+
+bool pin_current_thread(int cpu) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (cpu < 0 || hw == 0 || static_cast<unsigned>(cpu) >= hw) return false;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(static_cast<unsigned>(cpu), &set);
+  if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) != 0) {
+    PIOM_LOG_DEBUG("pinning a thread to cpu %d failed (ignored)", cpu);
+    return false;
+  }
+  return true;
 }
 
 }  // namespace piom::topo

@@ -127,4 +127,9 @@ class Machine {
   int ncpus_ = 0;
 };
 
+/// Pin the calling thread to host CPU `cpu`. Best effort: returns false,
+/// changing nothing, when `cpu` is not a host CPU or the host denies
+/// affinity changes (as some containers do).
+bool pin_current_thread(int cpu);
+
 }  // namespace piom::topo

@@ -37,7 +37,7 @@ WorldConfig icoll_config(EngineKind kind, int nranks,
   cfg.nranks = nranks;
   cfg.time_scale = 0.05;               // 20x faster network: keep tests snappy
   cfg.session.pool_bufs_per_rail = 8;  // full mesh: bound the pool memory
-  cfg.pioman.workers = 1;              // one simulated core per rank
+  cfg.pioman.workers = 1;              // one worker for the whole World
   if (mesh != MeshKind::kSimnet) {
     cfg.policy.node_of.assign(static_cast<std::size_t>(nranks), 0);
     cfg.policy.intra = mesh == MeshKind::kShmem

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -250,6 +252,55 @@ TEST(MpiWorld, ShutdownIsIdempotent) {
   world.shutdown();
   world.shutdown();
   SUCCEED();
+}
+
+/// OS threads of this process: the entries of /proc/self/task.
+int os_threads() {
+  int n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// os_threads() once it equals `want`, or after 2 s: a joined thread's
+/// task entry can outlive pthread_join by a moment while the kernel reaps
+/// it.
+int os_threads_settled(int want) {
+  const int64_t deadline = util::now_ns() + 2'000'000'000;
+  int n = os_threads();
+  while (n != want && util::now_ns() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    n = os_threads();
+  }
+  return n;
+}
+
+TEST(MpiWorld, ThreadBudgetIsOneNodePerWorld) {
+  // One PIOMan node per World: its workers plus one timer thread, whatever
+  // the rank count. Dense overlay is pinned because a sparse view wires
+  // its tree gates (and their NIC threads) at construction; dense wires
+  // nothing before first contact.
+  const int base = os_threads();
+  for (EngineKind kind : {EngineKind::kPioman, EngineKind::kMvapichLike,
+                          EngineKind::kOpenMpiLike}) {
+    for (int nranks : {2, 8}) {
+      WorldConfig cfg;
+      cfg.engine = kind;
+      cfg.nranks = nranks;
+      cfg.overlay.mode = OverlayMode::kDense;
+      const int expected =
+          kind == EngineKind::kPioman ? cfg.pioman.workers + 1 : 0;
+      {
+        World world(cfg);
+        EXPECT_EQ(os_threads() - base, expected)
+            << engine_kind_name(kind) << " N=" << nranks;
+      }
+      EXPECT_EQ(os_threads_settled(base), base)
+          << engine_kind_name(kind) << " N=" << nranks << " after teardown";
+    }
+  }
 }
 
 TEST(MpiWorld, RejectsBadConfig) {

@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstring>
 #include <deque>
 #include <numeric>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "nmad/session.hpp"
@@ -331,6 +333,62 @@ TEST(NmadStress, ManyMessagesBothDirectionsManyTags) {
     EXPECT_STREQ(bufs_a[static_cast<std::size_t>(i)].data(), "fromB");
     EXPECT_STREQ(bufs_b[static_cast<std::size_t>(i)].data(), "fromA");
   }
+}
+
+TEST(NmadOrdering, ConcurrentFlushesKeepSameTagFifoOrder) {
+  // Non-overtaking under offloaded submission: one thread posts deferred,
+  // sequence-stamped sends on a single tag while several threads call
+  // flush() (the PIOMan engine's offloaded flush tasks do exactly this).
+  // Every receive is pre-posted, so each one completes with whatever
+  // arrives next on the wire: any swap shows up as an out-of-order stamp.
+  constexpr int kMsgs = 20000;
+  constexpr int kFlushers = 3;
+  constexpr Tag kTag = 1;
+  transport::Cluster cluster;
+  Session sa("A"), sb("B");
+  auto [ca, cb] = cluster.create_pair(transport::Backend::kShmem, "order");
+  Gate& ga = sa.create_gate({ca});
+  Gate& gb = sb.create_gate({cb});
+
+  std::deque<RecvRequest> rreqs(kMsgs);
+  std::vector<uint64_t> got(kMsgs, ~uint64_t{0});
+  for (int i = 0; i < kMsgs; ++i) {
+    gb.irecv(rreqs[static_cast<std::size_t>(i)], kTag,
+             &got[static_cast<std::size_t>(i)], sizeof(uint64_t));
+  }
+  std::deque<SendRequest> sreqs(kMsgs);
+  std::vector<uint64_t> stamps(kMsgs);
+  std::iota(stamps.begin(), stamps.end(), uint64_t{0});
+
+  std::atomic<bool> sending{true};
+  std::vector<std::thread> flushers;
+  for (int f = 0; f < kFlushers; ++f) {
+    flushers.emplace_back([&] {
+      while (sending.load(std::memory_order_acquire)) ga.flush();
+    });
+  }
+  std::thread sender([&] {
+    for (int i = 0; i < kMsgs; ++i) {
+      ga.isend(sreqs[static_cast<std::size_t>(i)], kTag,
+               &stamps[static_cast<std::size_t>(i)], sizeof(uint64_t),
+               /*defer=*/true);
+    }
+  });
+  sender.join();
+  sending.store(false, std::memory_order_release);
+  for (std::thread& t : flushers) t.join();
+
+  ASSERT_TRUE(progress_until(sa, sb, [&] {
+    return std::all_of(rreqs.begin(), rreqs.end(),
+                       [](const RecvRequest& r) { return r.completed(); });
+  }));
+  int swapped = 0;
+  for (int i = 0; i < kMsgs; ++i) {
+    if (got[static_cast<std::size_t>(i)] != static_cast<uint64_t>(i)) {
+      ++swapped;
+    }
+  }
+  EXPECT_EQ(swapped, 0) << "of " << kMsgs << " same-tag messages";
 }
 
 TEST(NmadConfig, RejectsOversizedThresholds) {

@@ -33,7 +33,7 @@ WorldConfig nrank_config(EngineKind kind, int nranks,
   cfg.nranks = nranks;
   cfg.time_scale = 0.05;          // 20x faster network: keep tests snappy
   cfg.session.pool_bufs_per_rail = 8;  // full mesh: bound the pool memory
-  cfg.pioman.workers = 1;         // one simulated core per rank
+  cfg.pioman.workers = 1;         // one worker for the whole World
   if (mesh == MeshKind::kMixed) {
     // Two chips x two cores: rank r sits on core r % 4, so chips host
     // rank classes {0,1 mod 4} and {2,3 mod 4} — half the pairs of an

@@ -4,11 +4,15 @@
 
 #include <array>
 #include <cstring>
-#include <thread>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "simnet/fabric.hpp"
+#include "topo/machine.hpp"
 #include "transport/cluster.hpp"
 #include "util/timing.hpp"
 
@@ -329,6 +333,51 @@ TEST(SimnetConcurrency, ManyPostersOneNic) {
   int tx_seen = 0;
   while (a->poll_tx(c)) ++tx_seen;
   EXPECT_EQ(tx_seen, kThreads * kPerThread);
+}
+
+/// Threads of this process whose allowed-CPU list is exactly `cpu`.
+int threads_pinned_to(int cpu) {
+  int n = 0;
+  const std::string want = "Cpus_allowed_list:\t" + std::to_string(cpu);
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream status(task.path() / "status");
+    for (std::string line; std::getline(status, line);) {
+      if (line == want) ++n;
+    }
+  }
+  return n;
+}
+
+TEST(SimnetPlacement, LinkEnginesRunOnDistinctCpus) {
+  // Engines are pinned round-robin in creation order, so both ends of a
+  // link never share a host CPU — whatever the kernel would have chosen.
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  if (hw < 2) GTEST_SKIP() << "needs two host CPUs";
+  Fabric fabric(0.05);
+  auto [a, b] = fabric.create_link("placement");
+  ASSERT_GE(a->engine_cpu(), 0);
+  ASSERT_GE(b->engine_cpu(), 0);
+  EXPECT_LT(a->engine_cpu(), hw);
+  EXPECT_LT(b->engine_cpu(), hw);
+  EXPECT_NE(a->engine_cpu(), b->engine_cpu());
+
+  // A round trip proves both engines are running (they pin themselves
+  // first thing); then each must be confined to its CPU.
+  char rx_a[8] = {};
+  char rx_b[8] = {};
+  char tx[8] = "ping";
+  a->post_recv(rx_a, sizeof(rx_a), 1);
+  b->post_recv(rx_b, sizeof(rx_b), 2);
+  a->post_send(tx, sizeof(tx), 3);
+  b->post_send(tx, sizeof(tx), 4);
+  a->quiesce();
+  b->quiesce();
+  bool permitted = false;
+  std::thread probe([&] { permitted = topo::pin_current_thread(0); });
+  probe.join();
+  if (!permitted) GTEST_SKIP() << "affinity changes not permitted";
+  EXPECT_GE(threads_pinned_to(a->engine_cpu()), 1);
+  EXPECT_GE(threads_pinned_to(b->engine_cpu()), 1);
 }
 
 TEST(FabricConfig, RejectsBadTimeScale) {
