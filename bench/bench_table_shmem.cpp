@@ -115,8 +115,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "=== transport backends — latency / bandwidth per rail wiring ===\n"
-      "expected shape: shmem crushes the NIC model on latency (no wire,\n"
-      "no engine round-trip) and tracks host memcpy on bandwidth; hybrid\n"
+      "expected shape: shmem crushes the NIC model on latency (no\n"
+      "modelled wire) and tracks host memcpy on bandwidth; hybrid\n"
       "matches the better rail on each axis (rail selection + striping)\n\n");
 
   const int label_w = 16, cell_w = 14;

@@ -17,6 +17,18 @@
 // The actual post_wild calls run OUTSIDE the lock: a registration can match
 // staged data and complete the request inline, which re-enters the set via
 // purge().
+//
+// Lifetime invariant: add_gate() never touches a request purge() has
+// returned for. Its snapshot is a Registration the set can see: purge()
+// strikes the request from every registration's to-do list, then waits
+// until no *other* thread is inside post_wild() on it (the thread that
+// claimed it inline, inside its own add_gate, is exempt — a thread-local
+// marker names it). The claimer's owner may free the request the moment
+// it completes, so without this wait a late registration would read freed
+// memory. An in-progress registration never waits on a purge of the same
+// request (only the claim winner purges, and post_wild of an
+// already-claimed request returns under the matcher lock), so the wait is
+// bounded.
 #pragma once
 
 #include <cstddef>
@@ -78,10 +90,22 @@ class WildSet {
   [[nodiscard]] std::size_t gate_count() const;
 
  private:
+  /// One add_gate() call's snapshot of the parked requests, visible to
+  /// purge() while the registrations run.
+  struct Registration {
+    std::vector<RecvRequest*> todo;  ///< not yet registered with the gate
+    RecvRequest* current = nullptr;  ///< inside post_wild() right now
+  };
+
+  /// True while a thread other than the caller is registering `req`.
+  [[nodiscard]] bool registering_elsewhere(const RecvRequest& req) const
+      PIOM_REQUIRES(lock_);
+
   mutable sync::SpinLock lock_;
   std::vector<Gate*> gates_ PIOM_GUARDED_BY(lock_);
   std::vector<RecvRequest*> pending_ PIOM_GUARDED_BY(lock_);
   WildPort* port_ PIOM_GUARDED_BY(lock_) = nullptr;
+  std::vector<Registration*> registrations_ PIOM_GUARDED_BY(lock_);
 };
 
 }  // namespace piom::nmad

@@ -1,29 +1,35 @@
 // Simulated NIC with a verbs/MX-like host interface.
 //
-// Each Nic owns an *engine thread* that models the hardware: it serialises
-// posted operations, applies the LinkModel cost, and moves the bytes. This
-// gives the two properties the paper's evaluation depends on:
-//   1. data transfer is asynchronous DMA — it progresses with ZERO host CPU
-//      once posted (so sender-side overlap is possible for everyone);
+// Each Nic models the hardware as a time-stamped FIFO: a posted operation
+// gets the instant it finishes on the wire (`due`), the link serialising
+// operations back to back. There is no engine thread. Whoever polls moves
+// the model forward: poll_tx() runs this NIC's due operations, poll_rx()
+// runs the peer's (whose sends land here), and quiesce() runs everything.
+// Running an operation does what the hardware would have done by then —
+// drop draw, delivery into the peer's posted or staged buffer, RDMA copy,
+// stats, TX completion — in one step. This keeps the two properties the
+// paper's evaluation depends on:
+//   1. data transfer is asynchronous DMA — it costs the host nothing but
+//      the observation, and a send completes when only the sender polls
+//      (so sender-side overlap is possible for everyone);
 //   2. protocol decisions (matching a rendezvous, posting the data send)
 //      need host code to run — and *when* that host code runs is exactly
 //      what distinguishes PIOMan from the caller-driven baselines.
 //
-// RDMA-Read is served entirely by the engine threads: the target host never
+// RDMA-Read is run by the reading side's polls alone: the target host never
 // executes a single instruction, which is what lets the baseline engines
 // overlap on the sender side only (paper §II-B, [10]).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <mutex>
+#include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "simnet/link_model.hpp"
+#include "sync/spinlock.hpp"
 #include "transport/channel.hpp"
 
 namespace piom::simnet {
@@ -40,7 +46,6 @@ using NicStats = transport::ChannelStats;
 /// The "simnet" transport backend: a modelled cluster NIC.
 class Nic final : public transport::IChannel {
  public:
-  ~Nic() override;
   Nic(const Nic&) = delete;
   Nic& operator=(const Nic&) = delete;
 
@@ -54,7 +59,7 @@ class Nic final : public transport::IChannel {
   // ---- host-side API (thread-safe) ----
 
   /// Post a message send. `buf` must stay valid until the kSend completion
-  /// for `wrid` is polled (the engine reads it at transfer time: zero-copy).
+  /// for `wrid` is polled (it is read when the send comes due: zero-copy).
   void post_send(const void* buf, std::size_t len, uint64_t wrid) override;
 
   /// Post a receive buffer of capacity `cap`. Buffers match arrivals in
@@ -62,24 +67,26 @@ class Nic final : public transport::IChannel {
   void post_recv(void* buf, std::size_t cap, uint64_t wrid) override;
 
   /// RDMA-Read `len` bytes from the peer's memory at `remote` into `local`.
-  /// Served by the engines alone: no peer host CPU involved.
+  /// Run by this side's polls alone: no peer host CPU involved.
   void post_rdma_read(void* local, const void* remote, std::size_t len,
                       uint64_t wrid) override;
 
-  /// Poll the send/rdma completion queue. True when `out` was filled.
+  /// Run this NIC's due operations, then poll the send/rdma completion
+  /// queue. True when `out` was filled.
   bool poll_tx(Completion& out) override;
 
-  /// Poll the receive completion queue.
+  /// Run the peer's due operations (its sends land here), then poll the
+  /// receive completion queue.
   bool poll_rx(Completion& out) override;
 
   [[nodiscard]] NicStats stats() const override;
 
-  /// Pending TX descriptors not yet executed by the engine (tests).
+  /// Posted operations not yet run (tests).
   [[nodiscard]] std::size_t tx_backlog() const override;
 
-  /// Block until the engine has executed every posted operation (TX queue
-  /// empty and no operation in flight). Used at teardown: after quiescing
-  /// this NIC *and its peer*, no engine will touch host buffers again.
+  /// Block until every posted operation has come due and run (FIFO empty,
+  /// no operation running). Used at teardown: after quiescing this NIC
+  /// *and its peer*, the model will not touch host buffers again.
   void quiesce() override;
 
   /// Cut this endpoint off the wire (see IChannel::sever): queued and
@@ -100,12 +107,6 @@ class Nic final : public transport::IChannel {
     return link_.latency_us + link_.packet_overhead_us;
   }
 
-  /// Host CPU the engine thread pins itself to, round-robin in creation
-  /// order, so the two ends of a link never share one while the host has
-  /// two or more (best effort: see topo::pin_current_thread); -1 when the
-  /// host CPU count is unknown.
-  [[nodiscard]] int engine_cpu() const { return engine_cpu_; }
-
  private:
   friend class Fabric;
   Nic(Fabric& fabric, std::string name, LinkModel link);
@@ -116,6 +117,7 @@ class Nic final : public transport::IChannel {
     void* dst = nullptr;         // rdma: local destination
     std::size_t len = 0;
     uint64_t wrid = 0;
+    int64_t due_ns = 0;          // when the link has finished with it
   };
 
   struct RecvDesc {
@@ -130,48 +132,56 @@ class Nic final : public transport::IChannel {
     std::vector<uint8_t> data;
   };
 
-  void engine_loop();
+  static constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
+
+  /// Append `op` to the FIFO, due once the link has served everything
+  /// ahead of it and then `cost_ns` (unscaled) more.
+  void enqueue(TxOp op, int64_t cost_ns) PIOM_EXCLUDES(tx_lock_);
+  /// Run every operation that has come due. Skips when another thread is
+  /// already advancing: it will run the same operations.
+  void advance() PIOM_EXCLUDES(advance_lock_);
+  /// Run the FIFO's operations due by `now`, in order.
+  void run_due(int64_t now) PIOM_REQUIRES(advance_lock_);
+  /// Do what the hardware has done by `op`'s due time.
+  void run(const TxOp& op) PIOM_REQUIRES(advance_lock_);
   /// Deterministic per-NIC PRNG draw in [0,1) for drop decisions.
-  double drop_draw();
-  void start();
-  void stop();
-  /// Called by the *peer's* engine to deliver `len` bytes into our RX side.
-  void deliver(const void* data, std::size_t len);
-  void wait_scaled_ns(int64_t ns) const;
+  double drop_draw() PIOM_REQUIRES(advance_lock_);
+  /// Called by the *peer's* advance to deliver `len` bytes into our RX side.
+  void deliver(const void* data, std::size_t len) PIOM_EXCLUDES(rx_lock_);
 
   Fabric& fabric_;
   const std::string name_;
   const LinkModel link_;
   Nic* peer_ = nullptr;
 
-  // TX side (engine input + completions). The atomic size mirrors let
-  // hot-polling host threads skip the mutex entirely when a queue is empty
-  // (same double-check idea as the task queues' Algorithm 2) — without
-  // them, a tight poll loop starves the engine's lock acquisitions.
-  mutable std::mutex tx_mutex_;
-  std::condition_variable tx_cv_;
-  std::deque<TxOp> tx_queue_;
-  std::deque<Completion> tx_cq_;
-  std::atomic<std::size_t> tx_queue_size_{0};
+  // TX side: the time-stamped FIFO and its completions. The atomic mirrors
+  // let hot-polling host threads skip the locks (and the clock read) when
+  // nothing is due or queued — the same double-check idea as the task
+  // queues' Algorithm 2.
+  mutable sync::MutexLock tx_lock_;
+  std::deque<TxOp> tx_queue_ PIOM_GUARDED_BY(tx_lock_);
+  int64_t busy_until_ns_ PIOM_GUARDED_BY(tx_lock_) = 0;
+  std::deque<Completion> tx_cq_ PIOM_GUARDED_BY(tx_lock_);
+  std::atomic<int64_t> next_due_ns_{kNever};  ///< tx_queue_ front's due_ns
   std::atomic<std::size_t> tx_cq_size_{0};
-  bool engine_busy_ = false;  // op in flight (guarded by tx_mutex_)
+
+  /// Held by whoever runs operations, from pop to TX completion, so
+  /// quiesce() can wait out a concurrent advancer.
+  sync::MutexLock advance_lock_;
+  uint64_t rng_state_ PIOM_GUARDED_BY(advance_lock_) = 0;
+  uint64_t sends_executed_ PIOM_GUARDED_BY(advance_lock_) = 0;
 
   // RX side.
-  mutable std::mutex rx_mutex_;
-  std::deque<RecvDesc> rx_descs_;
-  std::deque<StagedArrival> staged_;
-  std::deque<Completion> rx_cq_;
+  mutable sync::MutexLock rx_lock_;
+  std::deque<RecvDesc> rx_descs_ PIOM_GUARDED_BY(rx_lock_);
+  std::deque<StagedArrival> staged_ PIOM_GUARDED_BY(rx_lock_);
+  std::deque<Completion> rx_cq_ PIOM_GUARDED_BY(rx_lock_);
   std::atomic<std::size_t> rx_cq_size_{0};
 
-  mutable std::mutex stats_mutex_;
-  NicStats stats_;
-  uint64_t rng_state_ = 0;  // engine-thread only
-  uint64_t sends_executed_ = 0;  // engine-thread only (sever_after_packets)
+  mutable sync::MutexLock stats_lock_;
+  NicStats stats_ PIOM_GUARDED_BY(stats_lock_);
 
   std::atomic<bool> severed_{false};
-  std::atomic<bool> running_{false};
-  int engine_cpu_ = -1;  ///< set by start(), before the engine runs
-  std::thread engine_;
 };
 
 }  // namespace piom::simnet

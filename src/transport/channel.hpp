@@ -2,11 +2,15 @@
 // rails through IChannel, so the communication library is independent of
 // what actually moves the bytes:
 //
-//   * backend "simnet" — simnet::Nic, the modelled cluster NIC (engine
-//     thread, link latency/bandwidth/drop model, RDMA served by hardware);
+//   * backend "simnet" — simnet::Nic, the modelled cluster NIC (link
+//     latency/bandwidth/drop model, RDMA served without target host code;
+//     a time-stamped FIFO that the pollers advance);
 //   * backend "shmem"  — transport::ShmemChannel, an intra-node fast path
 //     (lock-free SPSC descriptor rings, zero-copy delivery, no NIC
 //     instruction round-trip).
+//
+// No backend owns an IO thread: each makes progress inside poll_tx /
+// poll_rx / quiesce, on whichever thread calls them.
 //
 // ITransport is the factory side: one implementation per backend
 // (simnet::Fabric, transport::ShmemTransport). BackendPolicy decides, per

@@ -25,7 +25,7 @@ namespace piom::util {
 
 /// Busy-wait until the monotonic clock reaches `deadline_ns`.
 /// Used for sub-50µs waits where sleeping would destroy precision
-/// (the simulated NIC engine paces link transfers with this).
+/// (the simulated disk paces requests with this).
 void spin_until_ns(int64_t deadline_ns);
 
 /// Wait for `duration_ns`: sleeps for the bulk when the wait is long,

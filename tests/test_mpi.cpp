@@ -279,26 +279,38 @@ int os_threads_settled(int want) {
 
 TEST(MpiWorld, ThreadBudgetIsOneNodePerWorld) {
   // One PIOMan node per World: its workers plus one timer thread, whatever
-  // the rank count. Dense overlay is pinned because a sparse view wires
-  // its tree gates (and their NIC threads) at construction; dense wires
-  // nothing before first contact.
+  // the rank count and overlay. Wiring a pair adds no thread either (the
+  // sparse view wires its tree gates at construction; the exchange below
+  // wires a dense pair): the NIC model is progressed by its pollers.
   const int base = os_threads();
   for (EngineKind kind : {EngineKind::kPioman, EngineKind::kMvapichLike,
                           EngineKind::kOpenMpiLike}) {
-    for (int nranks : {2, 8}) {
-      WorldConfig cfg;
-      cfg.engine = kind;
-      cfg.nranks = nranks;
-      cfg.overlay.mode = OverlayMode::kDense;
-      const int expected =
-          kind == EngineKind::kPioman ? cfg.pioman.workers + 1 : 0;
-      {
-        World world(cfg);
-        EXPECT_EQ(os_threads() - base, expected)
-            << engine_kind_name(kind) << " N=" << nranks;
+    for (OverlayMode mode : {OverlayMode::kDense, OverlayMode::kSparse}) {
+      for (int nranks : {2, 8}) {
+        WorldConfig cfg;
+        cfg.engine = kind;
+        cfg.nranks = nranks;
+        cfg.overlay.mode = mode;
+        const int expected =
+            kind == EngineKind::kPioman ? cfg.pioman.workers + 1 : 0;
+        {
+          World world(cfg);
+          const int last = nranks - 1;
+          int out = 7, in = 0;
+          Request tx, rx;
+          world.comm(last).irecv(rx, 0, 3, &in, sizeof(in));
+          world.comm(0).isend(tx, last, 3, &out, sizeof(out));
+          world.comm(last).wait(rx);
+          world.comm(0).wait(tx);
+          EXPECT_EQ(in, out);
+          EXPECT_EQ(os_threads() - base, expected)
+              << engine_kind_name(kind) << " " << overlay_mode_name(mode)
+              << " N=" << nranks;
+        }
+        EXPECT_EQ(os_threads_settled(base), base)
+            << engine_kind_name(kind) << " " << overlay_mode_name(mode)
+            << " N=" << nranks << " after teardown";
       }
-      EXPECT_EQ(os_threads_settled(base), base)
-          << engine_kind_name(kind) << " N=" << nranks << " after teardown";
     }
   }
 }

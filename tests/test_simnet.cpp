@@ -5,14 +5,13 @@
 #include <array>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "simnet/fabric.hpp"
-#include "topo/machine.hpp"
 #include "transport/cluster.hpp"
 #include "util/timing.hpp"
 
@@ -106,7 +105,7 @@ TEST_F(SimnetTest, TruncationToRecvCapacity) {
 
 TEST_F(SimnetTest, RdmaReadPullsRemoteMemoryWithoutHostCode) {
   // Host code on side A never runs anything after exposing the buffer: the
-  // pull is served by the engine threads alone.
+  // pull is run by B's polls alone.
   std::vector<uint8_t> remote(256 * 1024);
   std::iota(remote.begin(), remote.end(), 0);
   std::vector<uint8_t> local(remote.size(), 0);
@@ -335,49 +334,90 @@ TEST(SimnetConcurrency, ManyPostersOneNic) {
   EXPECT_EQ(tx_seen, kThreads * kPerThread);
 }
 
-/// Threads of this process whose allowed-CPU list is exactly `cpu`.
-int threads_pinned_to(int cpu) {
-  int n = 0;
-  const std::string want = "Cpus_allowed_list:\t" + std::to_string(cpu);
-  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
-    std::ifstream status(task.path() / "status");
-    for (std::string line; std::getline(status, line);) {
-      if (line == want) ++n;
-    }
-  }
-  return n;
+/// OS threads of this process.
+std::size_t os_threads() {
+  namespace fs = std::filesystem;
+  const fs::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(fs::begin(tasks), fs::end(tasks)));
 }
 
-TEST(SimnetPlacement, LinkEnginesRunOnDistinctCpus) {
-  // Engines are pinned round-robin in creation order, so both ends of a
-  // link never share a host CPU — whatever the kernel would have chosen.
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  if (hw < 2) GTEST_SKIP() << "needs two host CPUs";
+TEST(SimnetThreadless, CreateLinkAddsNoThreads) {
+  // The NIC model has no engine: pollers progress it.
+  const std::size_t before = os_threads();
   Fabric fabric(0.05);
-  auto [a, b] = fabric.create_link("placement");
-  ASSERT_GE(a->engine_cpu(), 0);
-  ASSERT_GE(b->engine_cpu(), 0);
-  EXPECT_LT(a->engine_cpu(), hw);
-  EXPECT_LT(b->engine_cpu(), hw);
-  EXPECT_NE(a->engine_cpu(), b->engine_cpu());
+  for (int i = 0; i < 4; ++i) fabric.create_link("link" + std::to_string(i));
+  EXPECT_EQ(os_threads(), before);
+}
 
-  // A round trip proves both engines are running (they pin themselves
-  // first thing); then each must be confined to its CPU.
-  char rx_a[8] = {};
-  char rx_b[8] = {};
-  char tx[8] = "ping";
-  a->post_recv(rx_a, sizeof(rx_a), 1);
-  b->post_recv(rx_b, sizeof(rx_b), 2);
-  a->post_send(tx, sizeof(tx), 3);
-  b->post_send(tx, sizeof(tx), 4);
-  a->quiesce();
-  b->quiesce();
-  bool permitted = false;
-  std::thread probe([&] { permitted = topo::pin_current_thread(0); });
-  probe.join();
-  if (!permitted) GTEST_SKIP() << "affinity changes not permitted";
-  EXPECT_GE(threads_pinned_to(a->engine_cpu()), 1);
-  EXPECT_GE(threads_pinned_to(b->engine_cpu()), 1);
+class SimnetThreadlessTiming : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SimnetThreadlessTiming, NeverArrivesBeforeModelledTime) {
+  // One thread posts, then polls both ends: each completion shows up no
+  // earlier than the link model says the transfer ends.
+  Fabric fabric(1.0);
+  auto [a, b] = fabric.create_link("timed");
+  const std::size_t size = GetParam();
+  std::vector<uint8_t> payload(size, 0x5A);
+  std::vector<uint8_t> rx(size, 0);
+  b->post_recv(rx.data(), rx.size(), 1);
+  const int64_t t0 = util::now_ns();
+  a->post_send(payload.data(), payload.size(), 2);
+  Completion c{};
+  int64_t tx_at = 0, rx_at = 0;
+  const int64_t deadline = t0 + 2'000'000'000;
+  while ((tx_at == 0 || rx_at == 0) && util::now_ns() < deadline) {
+    if (tx_at == 0 && a->poll_tx(c)) tx_at = util::now_ns();
+    if (rx_at == 0 && b->poll_rx(c)) rx_at = util::now_ns();
+  }
+  ASSERT_NE(tx_at, 0);
+  ASSERT_NE(rx_at, 0);
+  const int64_t model = a->link().transfer_ns(size);
+  EXPECT_GE(tx_at - t0, model);
+  EXPECT_GE(rx_at - t0, model);
+  EXPECT_EQ(rx, payload);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, SimnetThreadlessTiming, ::testing::Values(8u, 4096u, 65536u),
+    [](const auto& info) { return "b" + std::to_string(info.param); });
+
+TEST(SimnetThreadless, SendCompletesWhenOnlySenderPolls) {
+  // DMA semantics without an engine: the sender's poll_tx runs the send,
+  // which lands in the peer's posted buffer, or is staged when none is.
+  Fabric fabric(0.05);
+  auto [a, b] = fabric.create_link("sender-only");
+  char posted[8] = {};
+  b->post_recv(posted, sizeof(posted), 1);
+  a->post_send("ping", 5, 2);
+  a->post_send("pong", 5, 3);
+  Completion c{};
+  ASSERT_TRUE(poll_until([&](Completion& cc) { return a->poll_tx(cc); }, c));
+  EXPECT_EQ(c.wrid, 2u);
+  ASSERT_TRUE(poll_until([&](Completion& cc) { return a->poll_tx(cc); }, c));
+  EXPECT_EQ(c.wrid, 3u);
+  EXPECT_STREQ(posted, "ping");  // landed before b ever polled
+  EXPECT_EQ(b->stats().packets_rx, 2u);
+  // The second send found no buffer and was staged: it is matched at once.
+  char late[8] = {};
+  b->post_recv(late, sizeof(late), 4);
+  EXPECT_STREQ(late, "pong");
+}
+
+TEST(SimnetThreadless, RdmaReadCompletesWhileTargetNeverPolls) {
+  Fabric fabric(0.05);
+  auto [a, b] = fabric.create_link("rdma-idle-target");
+  std::vector<uint8_t> remote(64 * 1024);
+  std::iota(remote.begin(), remote.end(), 0);
+  std::vector<uint8_t> local(remote.size(), 0);
+  // a (the target) never polls from here on.
+  b->post_rdma_read(local.data(), remote.data(), remote.size(), 9);
+  Completion c{};
+  ASSERT_TRUE(poll_until([&](Completion& cc) { return b->poll_tx(cc); }, c));
+  EXPECT_EQ(c.kind, Completion::Kind::kRdmaRead);
+  EXPECT_FALSE(c.failed);
+  EXPECT_EQ(local, remote);
+  EXPECT_EQ(a->stats().rdma_reads_served, 1u);
 }
 
 TEST(FabricConfig, RejectsBadTimeScale) {

@@ -25,6 +25,11 @@ Rules
   ctest-parallel-flag  CI must spell `ctest --parallel N`, never bare
                        `ctest ... -j` (a bare -j swallows the next
                        argument).
+  thread-owner         `std::thread` (or `std::jthread`) objects only under
+                       src/sched/ and src/aio/: transport backends have no
+                       IO thread, whoever polls progresses them.
+                       Static members (`std::thread::hardware_concurrency`)
+                       are fine.
 
 Usage: piom_lint.py [--root DIR]
 Scans DIR/src (C++ rules) and DIR/.github (CI rule). Prints one
@@ -274,6 +279,24 @@ def scan_cpp(rel, text, spinlocks, callbacks, cb_containers, findings):
 
 
 # ---------------------------------------------------------------------------
+# thread-owner rule
+# ---------------------------------------------------------------------------
+
+THREAD_OWNERS = ("src/sched/", "src/aio/")
+THREAD_TYPE = re.compile(r"\bstd::j?thread\b(?!\s*::)")
+
+
+def scan_thread_owner(rel, text, findings):
+    if rel.replace(os.sep, "/").startswith(THREAD_OWNERS):
+        return
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if THREAD_TYPE.search(line):
+            findings.append((rel, lineno, "thread-owner",
+                             "std::thread outside src/sched/ and src/aio/ "
+                             "(progress by polling, or schedule a task)"))
+
+
+# ---------------------------------------------------------------------------
 # CI rule
 # ---------------------------------------------------------------------------
 
@@ -324,6 +347,7 @@ def run(root):
             # other rules by temporarily blanking the literals.
             text = RESERVED_TAG.sub(lambda m: " " * len(m.group(0)), text)
         scan_cpp(rel, text, spinlocks, callbacks, cb_containers, findings)
+        scan_thread_owner(rel, text, findings)
     for path in ci_files:
         rel = os.path.relpath(path, root)
         with open(path, encoding="utf-8", errors="replace") as f:
