@@ -4,9 +4,9 @@
 // scalable way"; this module provides the I/O substrate that the AioManager
 // (aio/aio.hpp) drives through PIOMan tasks.
 //
-// Unlike the (threadless) NIC model, the disk has its own engine thread
-// that executes requests asynchronously under a cost model (fixed access
-// latency + streaming throughput), so host code only pays for *submitting* and *polling* —
+// The disk has its own engine thread that executes requests asynchronously
+// under a cost model (fixed access latency + streaming throughput), so host
+// code only pays for *submitting* and *polling* —
 // exactly the property that makes background progression worthwhile.
 #pragma once
 

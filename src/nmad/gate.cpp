@@ -31,12 +31,14 @@ Gate::Gate(Session& session, std::vector<transport::IChannel*> rails,
     rail_latency_us_.push_back(r.ch->latency_us());
     rail_bandwidths_.push_back(r.ch->bandwidth_GBps());
     for (int b = 0; b < bufs; ++b) {
-      r.pool.push_back(PoolBuf{this, r.index, std::vector<uint8_t>(kPoolBufSize)});
+      r.pool.push_back(
+          PoolBuf{this, r.index,
+                  std::make_unique_for_overwrite<uint8_t[]>(kPoolBufSize)});
     }
     // deque references are stable under push_back (lazy growth included):
     // post every pool buffer now and recycle them forever after.
     for (PoolBuf& pb : r.pool) {
-      r.ch->post_recv(pb.data.data(), pb.data.size(),
+      r.ch->post_recv(pb.data.get(), kPoolBufSize,
                       reinterpret_cast<uint64_t>(&pb));
     }
     r.posted_bufs = bufs;
@@ -103,7 +105,7 @@ void Gate::isend(SendRequest& req, Tag tag, const void* buf, std::size_t len,
   } else {
     pending_head_ = pending_tail_ = &req;
   }
-  ++pending_count_;
+  pending_count_.fetch_add(1, std::memory_order_release);
   lock_.unlock();
   if (!defer) submit_pending();
 }
@@ -140,7 +142,7 @@ void Gate::drain_pending() {
     // Pop the head.
     pending_head_ = first->next;
     if (pending_head_ == nullptr) pending_tail_ = nullptr;
-    --pending_count_;
+    pending_count_.fetch_sub(1, std::memory_order_release);
 
     if (first->rdv) {
       rdv_waiting_fin_.push_back(first);
@@ -174,7 +176,7 @@ void Gate::drain_pending() {
         last = pending_head_;
         pending_head_ = last->next;
         if (pending_head_ == nullptr) pending_tail_ = nullptr;
-        --pending_count_;
+        pending_count_.fetch_sub(1, std::memory_order_release);
         body_bytes += sizeof(PackEntry) + last->len;
         ++nmsgs;
       }
@@ -364,7 +366,7 @@ void Gate::fail_peer() {
     s = next;
   }
   pending_head_ = pending_tail_ = nullptr;
-  pending_count_ = 0;
+  pending_count_.store(0, std::memory_order_release);
   for (SendRequest* s : rdv_waiting_fin_) dead_sends.push_back(s);
   rdv_waiting_fin_.clear();
   for (auto it = unacked_.begin(); it != unacked_.end();) {
@@ -638,9 +640,9 @@ int Gate::poll_rail(int rail_index) {
   transport::Completion c;
   while (rail.ch->poll_rx(c)) {
     auto* pb = reinterpret_cast<PoolBuf*>(c.wrid);
-    handle_wire(pb->data.data(), c.bytes, rail_index);
+    handle_wire(pb->data.get(), c.bytes, rail_index);
     // Recycle the pool buffer immediately (the wire data was consumed).
-    rail.ch->post_recv(pb->data.data(), pb->data.size(),
+    rail.ch->post_recv(pb->data.get(), kPoolBufSize,
                        reinterpret_cast<uint64_t>(pb));
     ++events;
     ++rx;
@@ -654,10 +656,11 @@ int Gate::poll_rail(int rail_index) {
   if (rx >= rail.posted_bufs && rail.posted_bufs < ceiling) {
     const int target = std::min(2 * rail.posted_bufs, ceiling);
     for (int b = rail.posted_bufs; b < target; ++b) {
-      rail.pool.push_back(
-          PoolBuf{this, rail.index, std::vector<uint8_t>(kPoolBufSize)});
+      rail.pool.push_back(PoolBuf{
+          this, rail.index,
+          std::make_unique_for_overwrite<uint8_t[]>(kPoolBufSize)});
       PoolBuf& pb = rail.pool.back();
-      rail.ch->post_recv(pb.data.data(), pb.data.size(),
+      rail.ch->post_recv(pb.data.get(), kPoolBufSize,
                          reinterpret_cast<uint64_t>(&pb));
     }
     rail.posted_bufs = target;
@@ -1002,10 +1005,7 @@ GateStats Gate::stats() const {
 }
 
 std::size_t Gate::pending_sends() const {
-  lock_.lock();
-  const std::size_t n = pending_count_;
-  lock_.unlock();
-  return n;
+  return pending_count_.load(std::memory_order_acquire);
 }
 
 }  // namespace piom::nmad

@@ -210,7 +210,10 @@ class Gate {
   struct PoolBuf {
     Gate* gate = nullptr;
     int rail = 0;
-    std::vector<uint8_t> data;
+    /// kPoolBufSize bytes, deliberately not zero-filled: a page is first
+    /// touched by the arrival that lands in it, on the polling thread, not
+    /// by whoever wires the gate.
+    std::unique_ptr<uint8_t[]> data;
   };
 
   struct RailState {
@@ -299,7 +302,10 @@ class Gate {
   /// Intrusive FIFO of deferred sends.
   SendRequest* pending_head_ PIOM_GUARDED_BY(lock_) = nullptr;
   SendRequest* pending_tail_ PIOM_GUARDED_BY(lock_) = nullptr;
-  std::size_t pending_count_ PIOM_GUARDED_BY(lock_) = 0;
+  /// Length of that FIFO. Written under lock_, read without it: every
+  /// poll pass asks pending_sends(), and a lock taken there would compete
+  /// with the application threads enqueueing sends.
+  std::atomic<std::size_t> pending_count_{0};
   std::deque<SendRequest*> rdv_waiting_fin_ PIOM_GUARDED_BY(lock_);
   std::atomic<uint64_t> next_seq_{1};
 

@@ -18,9 +18,13 @@ Runtime::Runtime(const topo::Machine& machine, TaskManager& tm,
   for (int c = 0; c < n; ++c) {
     workers_.push_back(std::make_unique<Worker>());
   }
+  // Host CPUs in order, skipping the application's when there is a spare.
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const int app_cpu = n < hw ? topo::current_host_cpu() : -1;
   for (int c = 0; c < n; ++c) {
+    const int host_cpu = (app_cpu >= 0 && c >= app_cpu) ? c + 1 : c;
     workers_[static_cast<std::size_t>(c)]->thread =
-        std::thread([this, c] { worker_loop(c); });
+        std::thread([this, c, host_cpu] { worker_loop(c, host_cpu); });
   }
 }
 
@@ -28,9 +32,9 @@ Runtime::~Runtime() { stop(); }
 
 int Runtime::current_cpu() { return tls_current_cpu; }
 
-void Runtime::worker_loop(int cpu) {
+void Runtime::worker_loop(int cpu, int host_cpu) {
   tls_current_cpu = cpu;
-  if (config_.pin_threads) topo::pin_current_thread(cpu);
+  if (config_.pin_threads) topo::pin_current_thread(host_cpu);
   Worker& w = *workers_[static_cast<std::size_t>(cpu)];
   int idle_spins = 0;
   while (running_.load(std::memory_order_acquire)) {

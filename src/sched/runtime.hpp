@@ -26,8 +26,11 @@
 namespace piom::sched {
 
 struct RuntimeConfig {
-  /// Pin worker i to host CPU i (best effort; ignored when the host has
-  /// fewer CPUs or pinning is not permitted).
+  /// Pin each worker to a host CPU of its own (best effort; ignored when
+  /// the host has fewer CPUs or pinning is not permitted). Worker i gets
+  /// host CPU i, except that a host with more CPUs than workers keeps the
+  /// constructing thread's CPU free for the application: progression runs
+  /// on the cores the computation does not use.
   bool pin_threads = true;
   /// Idle iterations of the pure Algorithm-1 walk before a worker escalates
   /// to work stealing (spin → steal → nap): a core that just ran work polls
@@ -109,7 +112,7 @@ class Runtime {
     std::atomic<uint64_t> pending_jobs{0};
   };
 
-  void worker_loop(int cpu);
+  void worker_loop(int cpu, int host_cpu);
 
   const topo::Machine& machine_;
   TaskManager& tm_;

@@ -16,9 +16,10 @@
 //      need host code to run — and *when* that host code runs is exactly
 //      what distinguishes PIOMan from the caller-driven baselines.
 //
-// RDMA-Read is run by the reading side's polls alone: the target host never
-// executes a single instruction, which is what lets the baseline engines
-// overlap on the sender side only (paper §II-B, [10]).
+// RDMA-Read involves no protocol code on the target: the copy is part of the
+// reader NIC's FIFO, so it runs inside whichever poll of either end finds it
+// due, never in a target-side handler. That is what lets the baseline
+// engines overlap on the sender side only (paper §II-B, [10]).
 #pragma once
 
 #include <atomic>
@@ -67,7 +68,8 @@ class Nic final : public transport::IChannel {
   void post_recv(void* buf, std::size_t cap, uint64_t wrid) override;
 
   /// RDMA-Read `len` bytes from the peer's memory at `remote` into `local`.
-  /// Run by this side's polls alone: no peer host CPU involved.
+  /// Queued on this NIC's FIFO: the copy runs in a poll of either end, and
+  /// no protocol code runs on the peer.
   void post_rdma_read(void* local, const void* remote, std::size_t len,
                       uint64_t wrid) override;
 

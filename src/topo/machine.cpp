@@ -1,6 +1,7 @@
 #include "topo/machine.hpp"
 
 #include <pthread.h>
+#include <sched.h>
 
 #include <fstream>
 #include <map>
@@ -346,5 +347,7 @@ bool pin_current_thread(int cpu) {
   }
   return true;
 }
+
+int current_host_cpu() { return sched_getcpu(); }
 
 }  // namespace piom::topo

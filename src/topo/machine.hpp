@@ -132,4 +132,7 @@ class Machine {
 /// affinity changes (as some containers do).
 bool pin_current_thread(int cpu);
 
+/// Host CPU the calling thread is running on, or -1 when unknown.
+[[nodiscard]] int current_host_cpu();
+
 }  // namespace piom::topo

@@ -2,7 +2,6 @@
 // simulated fabric, for all three progress engines.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -15,7 +14,6 @@
 #include "mpi/engine_globallock.hpp"
 #include "mpi/world.hpp"
 #include "sync/semaphore.hpp"
-#include "topo/machine.hpp"
 #include "util/timing.hpp"
 
 namespace piom::mpi {
@@ -188,71 +186,31 @@ TEST(MpiPioman, ReceiverSideOverlapBeatsBaseline) {
     const std::size_t size = 1 << 20;  // 1 MB: rendezvous, ~0.8ms transfer
     std::vector<uint8_t> data(size, 0x42), out(size, 0);
     const double compute_us = 3000;  // computation > transfer time
-    // Wire the pair with one small exchange first, as the harness's earlier
-    // iterations do: a fresh World's first irecv sets up the gates (a few
-    // hundred µs, at times ms), which is set-up cost, not transfer.
+    double total_us = 0;
     {
-      char ping = 1, got = 0;
-      Request s, r;
-      world.comm(1).irecv(r, 0, 4, &got, 1);
-      world.comm(0).isend(s, 1, 4, &ping, 1);
-      world.comm(0).wait(s);
-      world.comm(1).wait(r);
-      EXPECT_EQ(got, ping);
-    }
-    // The node's workers are pinned to host CPUs 0 and 1; the sender and
-    // the receiver get the two highest CPUs. A host that does not balance
-    // threads across CPUs would otherwise keep both on the creating
-    // thread's CPU, next to a spinning worker, and the ratio would measure
-    // time-sharing instead of overlap.
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    // Iterations of the Fig 6 benchmark (bench/overlap_common.hpp): the
-    // receive is posted before the send, and the receiver computes once the
-    // send is issued. Unordered, the RTS can reach rank 1 before its irecv
-    // and a caller-driven engine answers it inside irecv, which is
-    // sender-side timing, not receiver-side overlap. The median iteration
-    // is reported: on a shared virtual machine a whole-VM pause of several
-    // ms now and then lands inside one 3 ms iteration.
-    //
-    // Each thread has a CPU of its own, so the hand-offs spin (~20 ms at
-    // most) instead of parking: a wake-up would add scheduler latency to
-    // Ttotal that is neither transfer nor overlap.
-    constexpr int kIters = 5;
-    constexpr int kSpins = 1 << 20;
-    std::vector<double> total_us(kIters, 0.0);
-    sync::Semaphore sender_ready, recv_posted, send_posted;
-    std::thread sender([&] {
-      topo::pin_current_thread(hw - 2);
-      sender_ready.post();
-      for (int it = 0; it < kIters; ++it) {
-        recv_posted.wait(kSpins);
+      // Fig 6 order (bench/overlap_common.hpp): the receive is posted
+      // before the send is issued, and the receiver computes once it is.
+      // An RTS that arrived before irecv would be answered inside irecv by
+      // a caller-driven engine: sender-side timing, not receiver overlap.
+      // wait(0) parks at once, so the sender gets the CPU straight away.
+      Request r;
+      const int64_t t0 = util::now_ns();
+      world.comm(1).irecv(r, 0, 5, out.data(), out.size());
+      sync::Semaphore send_posted;
+      std::thread sender([&] {
         Request s;
         world.comm(0).isend(s, 1, 5, data.data(), data.size());
         send_posted.post();
         world.comm(0).wait(s);
-      }
-    });
-    std::thread receiver([&] {
-      topo::pin_current_thread(hw - 1);
-      sender_ready.wait(kSpins);
-      for (int it = 0; it < kIters; ++it) {
-        std::fill(out.begin(), out.end(), 0);
-        Request r;
-        const int64_t t0 = util::now_ns();
-        world.comm(1).irecv(r, 0, 5, out.data(), out.size());
-        recv_posted.post();
-        send_posted.wait(kSpins);
-        util::burn_cpu_us(compute_us);
-        world.comm(1).wait(r);
-        total_us[static_cast<std::size_t>(it)] =
-            static_cast<double>(util::now_ns() - t0) * 1e-3;
-        EXPECT_TRUE(out == data) << "iteration " << it;
-      }
-    });
-    receiver.join();
-    sender.join();
-    std::sort(total_us.begin(), total_us.end());
-    return compute_us / total_us[kIters / 2];  // overlap ratio
+      });
+      send_posted.wait(0);
+      util::burn_cpu_us(compute_us);
+      world.comm(1).wait(r);
+      total_us = static_cast<double>(util::now_ns() - t0) * 1e-3;
+      sender.join();
+    }
+    EXPECT_TRUE(out == data);
+    return compute_us / total_us;  // overlap ratio
   };
   const double pioman_ratio = measure(EngineKind::kPioman);
   const double baseline_ratio = measure(EngineKind::kMvapichLike);

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "core/task_manager.hpp"
 #include "sched/runtime.hpp"
@@ -43,6 +44,49 @@ TEST(Runtime, JobsSeeTheirCpu) {
   env.rt.quiesce();
   EXPECT_EQ(seen_cpu.load(), 2);
   EXPECT_EQ(Runtime::current_cpu(), -1);  // the test thread is foreign
+}
+
+// Host CPU each worker of `rt` runs its jobs on.
+std::vector<int> worker_host_cpus(Runtime& rt) {
+  std::vector<std::atomic<int>> seen(static_cast<std::size_t>(rt.ncpus()));
+  for (int c = 0; c < rt.ncpus(); ++c) {
+    seen[static_cast<std::size_t>(c)].store(-1);
+    rt.submit_job(c, [&seen, c] {
+      seen[static_cast<std::size_t>(c)].store(topo::current_host_cpu());
+    });
+  }
+  rt.quiesce();
+  std::vector<int> out;
+  for (auto& s : seen) out.push_back(s.load());
+  return out;
+}
+
+TEST(Runtime, WorkersLeaveTheApplicationCpuFree) {
+  // More host CPUs than workers: the constructing thread's CPU stays the
+  // application's.
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  if (hw < 4) GTEST_SKIP() << "needs >= 4 host CPUs";
+  std::thread app([&] {
+    if (!topo::pin_current_thread(1)) GTEST_SKIP() << "pinning not permitted";
+    Env env(topo::Machine::flat(2));
+    const std::vector<int> cpus = worker_host_cpus(env.rt);
+    EXPECT_EQ(cpus, (std::vector<int>{0, 2}));
+  });
+  app.join();
+}
+
+TEST(Runtime, WorkerIPinnedToCpuIWhenWorkersFillTheHost) {
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  if (hw < 2) GTEST_SKIP() << "needs >= 2 host CPUs";
+  std::thread app([&] {
+    if (!topo::pin_current_thread(1)) GTEST_SKIP() << "pinning not permitted";
+    Env env(topo::Machine::flat(hw));
+    const std::vector<int> cpus = worker_host_cpus(env.rt);
+    for (int c = 0; c < hw; ++c) {
+      EXPECT_EQ(cpus[static_cast<std::size_t>(c)], c) << "worker " << c;
+    }
+  });
+  app.join();
 }
 
 TEST(Runtime, IdleHookExecutesTasks) {
