@@ -20,7 +20,6 @@ void Task::init(Fn f, void* a, const topo::CpuSet& cpus, uint32_t opts) {
   (void)s;
   fn = f;
   arg = a;
-  on_done = nullptr;
   cpuset = cpus;
   options = opts;
   next.store(nullptr, std::memory_order_relaxed);

@@ -5,7 +5,9 @@
 // Tasks are *intrusive*: they carry their own queue linkage so the fast path
 // performs no allocation (paper §IV-B: "the task structure does not require
 // an allocation since it is included in the packet wrapper structure").
-// Embed a Task in your request/packet object, init() it, and submit it.
+// Embed a Task in your request/packet object, init() it, and submit it. The
+// MPI layer's only communication tasks are the PIOMan engine's repeatable
+// per-(gate, rail) poll tasks, embedded in its poll table.
 #pragma once
 
 #include <atomic>
@@ -53,17 +55,10 @@ enum class TaskState : uint8_t {
 
 struct Task {
   using Fn = TaskResult (*)(void* arg);
-  /// Post-completion hook, invoked by the scheduler as its very LAST touch
-  /// of the task (strictly after the kDone state store). Used by owners
-  /// that recycle task-carrying objects through a pool: the hook is the
-  /// earliest safe point to release the storage. Must not be combined with
-  /// kTaskNotify (the semaphore post would race with the release).
-  using DoneFn = void (*)(Task* task);
 
   // ---- configuration (set before submit, stable while queued) ----
   Fn fn = nullptr;
   void* arg = nullptr;
-  DoneFn on_done = nullptr;
   topo::CpuSet cpuset;       ///< cores allowed to execute the task
   uint32_t options = kTaskNone;
 

@@ -139,17 +139,13 @@ void TaskManager::run_task(Task* task, ITaskQueue& queue, int cpu) {
   // store below is visible, so the store must be the scheduler's last
   // access for plain tasks. (kTaskNotify owners are required to block in
   // wait_done(), which makes the semaphore post the safe last touch.)
-  const Task::DoneFn on_done = task->on_done;
   const uint32_t options = task->options;
-  assert(on_done == nullptr || (options & kTaskNotify) == 0);
   task->state.store(TaskState::kDone, std::memory_order_release);
   if ((options & kTaskNotify) != 0) {
     // After this post the owner may reuse/destroy the task storage; do not
     // touch *task afterwards.
     task->done_sem.post();
-    return;
   }
-  if (on_done != nullptr) on_done(task);  // final touch: may recycle storage
 }
 
 int TaskManager::drain_queue(ITaskQueue& queue, int cpu) {

@@ -25,9 +25,8 @@ int PiomanNode::next_home() {
   return home;
 }
 
-PiomanEngine::PiomanEngine(nmad::Session& session, PiomanNode& node,
-                           PiomanEngineConfig config)
-    : session_(session), node_(node), config_(config) {}
+PiomanEngine::PiomanEngine(nmad::Session& session, PiomanNode& node)
+    : session_(session), node_(node) {}
 
 PiomanEngine::~PiomanEngine() { shutdown(); }
 
@@ -37,8 +36,8 @@ TaskResult PiomanEngine::poll_trampoline(void* arg) {
     return TaskResult::kDone;
   }
   pt->gate->poll_rail(pt->rail);
-  // Also flush sends that were queued but whose offload task has not run
-  // yet (keeps the pipeline moving under bursts).
+  // Packet submission (paper §IV-B): isend only queued the message; this
+  // pass packs and posts it.
   if (pt->gate->pending_sends() > 0) pt->gate->flush();
   // Reliability: the rail-0 poller owns the retransmission timer.
   if (pt->rail == 0) pt->gate->check_retransmits();
@@ -47,44 +46,6 @@ TaskResult PiomanEngine::poll_trampoline(void* arg) {
   // can compute (or park in wait) through the whole collective.
   pt->engine->advance_colls();
   return TaskResult::kAgain;
-}
-
-TaskResult PiomanEngine::flush_trampoline(void* arg) {
-  static_cast<SubmitJob*>(arg)->gate->flush();
-  return TaskResult::kDone;
-}
-
-void PiomanEngine::submit_job_done(Task* task) {
-  // Scheduler's final touch: recycle the job (task->arg is the SubmitJob).
-  auto* job = static_cast<SubmitJob*>(task->arg);
-  job->engine->release_submit_job(job);
-}
-
-PiomanEngine::SubmitJob* PiomanEngine::acquire_submit_job() {
-  submit_pool_lock_.lock();
-  SubmitJob* job = submit_pool_;
-  if (job != nullptr) {
-    submit_pool_ = job->free_next;
-    submit_pool_lock_.unlock();
-    job->free_next = nullptr;
-    return job;
-  }
-  submit_pool_lock_.unlock();
-  auto owned = std::make_unique<SubmitJob>();
-  SubmitJob* raw = owned.get();
-  raw->engine = this;
-  submit_pool_lock_.lock();
-  submit_jobs_.push_back(std::move(owned));
-  submit_pool_lock_.unlock();
-  return raw;
-}
-
-void PiomanEngine::release_submit_job(SubmitJob* job) {
-  submit_pool_lock_.lock();
-  job->free_next = submit_pool_;
-  submit_pool_ = job;
-  submit_pool_lock_.unlock();
-  submit_jobs_in_flight_.fetch_sub(1, std::memory_order_release);
 }
 
 void PiomanEngine::start_progress() {
@@ -124,28 +85,10 @@ void PiomanEngine::watch_gate(nmad::Gate& gate) {
 void PiomanEngine::isend(Request& req, nmad::Gate& gate, Tag tag,
                          const void* buf, std::size_t len) {
   req.arm(/*is_send=*/true);
-  if (!config_.offload_submission) {
-    gate.isend(req.send_req(), tag, buf, len, /*defer=*/false);
-    return;
-  }
+  // Deferred submission: the gate's poll task posts the packet. It runs on
+  // an idle worker, on the timer tick, or in the next blocking-section
+  // pass, so the caller returns at once and may compute meanwhile.
   gate.isend(req.send_req(), tag, buf, len, /*defer=*/true);
-  // Submission offload: place the flush task on the nearest idle core; if
-  // every core is busy, the global queue gets it (run at the next blocking
-  // section / idle hole / timer tick). The task lives in an engine-owned
-  // recycled SubmitJob, NOT in the caller's request: the caller may tear
-  // its request down the instant the communication completes, even if some
-  // other progression path flushed the message before this task ran.
-  int cpu = sched::Runtime::current_cpu();
-  if (cpu < 0) cpu = 0;
-  const int idle = node_.runtime().find_idle_near(cpu);
-  const topo::CpuSet cpus =
-      (idle >= 0) ? topo::CpuSet::single(idle) : topo::CpuSet{};
-  SubmitJob* job = acquire_submit_job();
-  job->gate = &gate;
-  job->task.init(&flush_trampoline, job, cpus, piom::kTaskNone);
-  job->task.on_done = &submit_job_done;
-  submit_jobs_in_flight_.fetch_add(1, std::memory_order_acquire);
-  node_.task_manager().submit(&job->task);
 }
 
 void PiomanEngine::irecv(Request& req, nmad::Gate& gate, Tag tag, void* buf,
@@ -163,10 +106,19 @@ void PiomanEngine::irecv_any(Request& req, nmad::WildSet& wilds, Tag tag,
 void PiomanEngine::wait(Request& req) {
   nmad::RequestCore& core = req.req_core();
   if (core.completed()) return;
-  // Blocking hook: one progression pass, core advertised as available, then
-  // park on the semaphore — the background tasks do the polling. Repeated
-  // waits on the same request are fine (wait_done's completed() fast path;
-  // the completion token is drained by RequestCore::reset on reuse).
+  // A thread about to block on a send first posts its gate's deferred
+  // sends (paper: in a blocking section "the task is processed"). The
+  // gate's poll task may be held by a worker that a computing application
+  // thread has preempted on its CPU; it would then post the message only
+  // once that computation ends.
+  if (req.is_send()) {
+    nmad::Gate& gate = *req.send_req().gate;
+    if (gate.pending_sends() > 0) gate.flush();
+  }
+  // Blocking hook: one progression pass, then park on the semaphore — the
+  // background tasks do the polling. Repeated waits on the same request
+  // are fine (wait_done's completed() fast path; the completion token is
+  // drained by RequestCore::reset on reuse).
   sched::BlockingSection bs(node_.runtime());
   core.wait_done();
 }
@@ -195,11 +147,6 @@ void PiomanEngine::wait_coll(CollOp& op) {
 
 void PiomanEngine::shutdown() {
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
-  // Outstanding offloaded submissions must run before the engine goes
-  // away (their tasks reference engine state).
-  while (submit_jobs_in_flight_.load(std::memory_order_acquire) > 0) {
-    node_.runtime().schedule_here();
-  }
   // Poll tasks observe stopping_ on their next execution and finish. Wait
   // on a snapshot taken under the lock: watch_gate refuses new gates once
   // stopping_ is set (checked under the same lock), so the snapshot is
@@ -211,6 +158,12 @@ void PiomanEngine::shutdown() {
   poll_lock_.unlock();
   for (PollTask* pt : draining) {
     pt->task.wait_done();
+  }
+  // Sends still queued when their gate's poll task stopped have no other
+  // submitter: post them now so every send issued before shutdown reaches
+  // the wire.
+  for (PollTask* pt : draining) {
+    if (pt->rail == 0) pt->gate->flush();
   }
 }
 

@@ -6,21 +6,21 @@
 //     task manager and run on its one set of workers.
 //   * One repeatable polling task per (gate, rail), submitted to the task
 //     manager with a cpuset of cores sharing a cache (paper §IV-B), executed
-//     by idle runtime workers and by the timer hook when everyone is busy.
-//   * isend defers packet submission and offloads it as a task placed on the
-//     nearest idle core ("the state of each core is evaluated in order to
-//     find an idle core that could process the task"); if every core is
-//     busy, the task goes to the global queue.
+//     by idle runtime workers, the timer hook and every blocking-section
+//     pass.
+//   * isend defers packet submission (paper §IV-B) and submits no task of
+//     its own: it queues the message on the gate and returns, and the
+//     gate's poll task packs and posts it on its next pass.
 //   * wait blocks on the request's semaphore inside a BlockingSection —
-//     receiving threads do NOT poll, which keeps the Fig-4 latency flat.
+//     receiving threads do NOT poll, which keeps the Fig-4 latency flat. A
+//     thread waiting on a send first flushes that send's gate, so the
+//     message never waits for a poll task held by a preempted worker.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <memory>
 #include <unordered_set>
-#include <vector>
 
 #include "core/task_manager.hpp"
 #include "mpi/engine.hpp"
@@ -36,18 +36,15 @@ struct PiomanEngineConfig {
   /// polling). The node is shared by every rank of a World, so this is the
   /// World's worker count, not a per-rank one.
   int workers = 4;
-  /// Offload packet submission to an idle core (paper §IV-B). When false
-  /// the send path is inline (ablation).
-  bool offload_submission = true;
 };
 
 /// One PIOMan progression node: `workers` simulated cores, the task
-/// manager every rank's poll, offload and collective tasks feed, the
-/// runtime whose workers run them, and the timer hook that guarantees
-/// progress when every core is busy. The machine, task manager, runtime
-/// and timer are built once and never reseated; their own shared state is
-/// internally synchronised. The one mutable piece of node state is the
-/// poll-task placement cursor.
+/// manager every rank's poll tasks feed, the runtime whose workers run
+/// them, and the timer hook that runs them every 100 µs whatever the
+/// workers are doing. The machine, task manager, runtime and timer are
+/// built once and never reseated; their own shared state is internally
+/// synchronised. The one mutable piece of node state is the poll-task
+/// placement cursor.
 class PiomanNode {
  public:
   explicit PiomanNode(int workers);
@@ -84,8 +81,7 @@ class PiomanEngine final : public Engine {
   /// `session` and `node` must outlive the engine; the engine schedules
   /// into `node` but never stops it. Call start_progress() after the
   /// session's gates are created.
-  PiomanEngine(nmad::Session& session, PiomanNode& node,
-               PiomanEngineConfig config = {});
+  PiomanEngine(nmad::Session& session, PiomanNode& node);
   ~PiomanEngine() override;
 
   /// Install one repeatable polling task per (gate, rail) for the gates
@@ -110,7 +106,8 @@ class PiomanEngine final : public Engine {
   bool test_coll(CollOp& op) override;
   void wait_coll(CollOp& op) override;
   [[nodiscard]] std::string name() const override { return "pioman"; }
-  /// Drain this rank's offloaded submissions and poll tasks. The node's
+  /// Finish this rank's poll tasks, then flush each watched gate once, so
+  /// every send issued before the call reaches the wire. The node's
   /// workers keep running for the other ranks; its owner stops it.
   void shutdown() override;
 
@@ -124,39 +121,16 @@ class PiomanEngine final : public Engine {
     int rail = 0;
     PiomanEngine* engine = nullptr;
   };
-  /// One offloaded packet submission. Engine-owned and recycled through a
-  /// freelist (the paper embeds the task in the library's packet wrapper —
-  /// same idea: the task never lives in caller-owned storage, so a caller
-  /// may free its Request as soon as the communication completes even if
-  /// the flush task has not run yet).
-  struct SubmitJob {
-    piom::Task task;
-    nmad::Gate* gate = nullptr;
-    PiomanEngine* engine = nullptr;
-    SubmitJob* free_next = nullptr;
-  };
   static TaskResult poll_trampoline(void* arg);
-  static TaskResult flush_trampoline(void* arg);
-  static void submit_job_done(Task* task);
-
-  SubmitJob* acquire_submit_job();
-  void release_submit_job(SubmitJob* job);
 
   nmad::Session& session_;
   PiomanNode& node_;
-  PiomanEngineConfig config_;
   /// Poll-task table. The deque grows while tasks run (late gates), so the
   /// lock guards every structural access; PollTask storage is stable once
   /// emplaced. watched_ dedups watch_gate.
   sync::SpinLock poll_lock_;
   std::deque<PollTask> poll_tasks_ PIOM_GUARDED_BY(poll_lock_);
   std::unordered_set<nmad::Gate*> watched_ PIOM_GUARDED_BY(poll_lock_);
-  sync::SpinLock submit_pool_lock_;
-  SubmitJob* submit_pool_ PIOM_GUARDED_BY(submit_pool_lock_) = nullptr;
-  /// Storage owner.
-  std::vector<std::unique_ptr<SubmitJob>> submit_jobs_
-      PIOM_GUARDED_BY(submit_pool_lock_);
-  std::atomic<int> submit_jobs_in_flight_{0};
   std::atomic<bool> stopping_{false};
   bool started_ = false;
 };

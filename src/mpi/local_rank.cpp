@@ -75,8 +75,7 @@ void LocalRank::init(
   }
   switch (config.engine) {
     case EngineKind::kPioman: {
-      auto engine =
-          std::make_unique<PiomanEngine>(*session_, *node, config.pioman);
+      auto engine = std::make_unique<PiomanEngine>(*session_, *node);
       engine->start_progress();  // covers the eager gates above
       // Gates installed from here on (lazy wiring) join the poll set
       // through the membership's creation hook.

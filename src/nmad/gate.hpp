@@ -85,9 +85,9 @@ class Gate {
 
   /// Start a send. The request object is caller-owned and must outlive
   /// completion. When `defer` is false the message is packed and posted
-  /// inline; when true it only joins the pending queue — the caller (the
-  /// PIOMan engine) later triggers flush(), typically from an offloaded
-  /// task on an idle core.
+  /// inline; when true it only joins the pending queue and a later flush()
+  /// posts it (the PIOMan engine's per-(gate, rail) poll task calls
+  /// flush() on every pass).
   void isend(SendRequest& req, Tag tag, const void* buf, std::size_t len,
              bool defer = false);
 

@@ -1,7 +1,6 @@
-// Send/receive request objects. The piom::Task used for submission
-// offloading is *embedded* in the request (paper §IV-B: "the task structure
-// does not require an allocation since it is included in the packet wrapper
-// structure") — submitting a request to the scheduler allocates nothing.
+// Send/receive request objects. Caller-owned and intrusive (a send joins
+// its gate's pending FIFO through `next`), so starting a communication
+// allocates nothing; the gate's poll task submits deferred sends.
 #pragma once
 
 #include <atomic>
@@ -10,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/task.hpp"
 #include "sync/semaphore.hpp"
 #include "nmad/types.hpp"
 

@@ -99,28 +99,6 @@ void Runtime::submit_job(int cpu, std::function<void()> job) {
   w.cv.notify_one();
 }
 
-WorkerState Runtime::worker_state(int cpu) const {
-  return workers_[static_cast<std::size_t>(cpu)]->state.load(
-      std::memory_order_acquire);
-}
-
-int Runtime::find_idle_near(int cpu) const {
-  // Walk up the topology: try cores sharing the deepest level first.
-  topo::CpuSet visited;
-  for (const topo::TopoNode* node : machine_.path_to_root(cpu)) {
-    for (int c = node->cpus.first(); c >= 0; c = node->cpus.next(c)) {
-      if (c == cpu || visited.test(c)) continue;
-      visited.set(c);
-      const Worker& w = *workers_[static_cast<std::size_t>(c)];
-      if (w.state.load(std::memory_order_acquire) == WorkerState::kIdle &&
-          w.pending_jobs.load(std::memory_order_acquire) == 0) {
-        return c;
-      }
-    }
-  }
-  return -1;
-}
-
 int Runtime::schedule_here() {
   int cpu = current_cpu();
   if (cpu < 0) {
@@ -138,8 +116,8 @@ void Runtime::quiesce() {
     if (jobs_run_.load(std::memory_order_acquire) ==
         jobs_submitted_.load(std::memory_order_acquire)) {
       bool all_idle = true;
-      for (int c = 0; c < ncpus(); ++c) {
-        if (worker_state(c) == WorkerState::kBusy) {
+      for (const auto& w : workers_) {
+        if (w->state.load(std::memory_order_acquire) == WorkerState::kBusy) {
           all_idle = false;
           break;
         }
@@ -161,23 +139,6 @@ void Runtime::stop() {
   }
   for (auto& w : workers_) {
     if (w->thread.joinable()) w->thread.join();
-  }
-}
-
-BlockingSection::BlockingSection(Runtime& rt) : rt_(rt), cpu_(Runtime::current_cpu()) {
-  // Blocking-call hook: one progression pass before the thread parks, and
-  // the core is marked available for offloaded work while we block.
-  if (cpu_ >= 0) {
-    Runtime::Worker& w = *rt_.workers_[static_cast<std::size_t>(cpu_)];
-    saved_ = w.state.exchange(WorkerState::kBlocked, std::memory_order_acq_rel);
-  }
-  rt_.schedule_here();
-}
-
-BlockingSection::~BlockingSection() {
-  if (cpu_ >= 0) {
-    Runtime::Worker& w = *rt_.workers_[static_cast<std::size_t>(cpu_)];
-    w.state.store(saved_, std::memory_order_release);
   }
 }
 

@@ -3,7 +3,7 @@
 // when permitted) and invokes the TaskManager at the same keypoints MARCEL
 // triggers PIOMan:
 //   * CPU idleness      — a worker with no application job schedules tasks;
-//   * blocking sections — BlockingSection RAII schedules before parking
+//   * blocking sections — a BlockingSection schedules before parking
 //                         (paper: "a thread enters a blocking section ...
 //                         the task is processed");
 //   * timer interrupt   — see sched/timer.hpp: a periodic thread guarantees
@@ -45,11 +45,10 @@ struct RuntimeConfig {
   std::chrono::microseconds idle_nap{200};
 };
 
-/// Worker occupancy, visible to nmad's "find an idle core" offload logic.
+/// Worker occupancy; quiesce() waits until no worker is kBusy.
 enum class WorkerState : uint8_t {
-  kIdle = 0,     ///< no application job; polling / napping
-  kBusy = 1,     ///< running an application job
-  kBlocked = 2,  ///< inside a BlockingSection
+  kIdle = 0,  ///< no application job; polling / napping
+  kBusy = 1,  ///< running an application job
 };
 
 class Runtime {
@@ -68,19 +67,6 @@ class Runtime {
   /// Simulated-core id of the calling thread: worker index for workers,
   /// -1 for foreign threads.
   [[nodiscard]] static int current_cpu();
-
-  /// Occupancy of core `cpu`.
-  [[nodiscard]] WorkerState worker_state(int cpu) const;
-  [[nodiscard]] bool is_idle(int cpu) const {
-    return worker_state(cpu) == WorkerState::kIdle;
-  }
-
-  /// Nearest idle core to `cpu` by topology distance (same cache, then same
-  /// chip/NUMA node, then anywhere), excluding `cpu` itself; -1 when every
-  /// core is busy. This is §IV-B's submission-offload site search: "the
-  /// state of each core is evaluated in order to find an idle core ...
-  /// the nearest idle core is specified in the CPU set."
-  [[nodiscard]] int find_idle_near(int cpu) const;
 
   /// One progression step on behalf of the calling thread: uses its own
   /// core when it is a worker, else a thread-hashed core. Returns tasks run.
@@ -101,8 +87,6 @@ class Runtime {
   [[nodiscard]] int ncpus() const { return machine_.ncpus(); }
 
  private:
-  friend class BlockingSection;
-
   struct Worker {
     std::thread thread;
     std::mutex mutex;
@@ -123,22 +107,16 @@ class Runtime {
   std::atomic<uint64_t> jobs_submitted_{0};
 };
 
-/// RAII blocking-section hook. A thread about to block (e.g. on a request
+/// Blocking-section hook. A thread about to block (e.g. on a request
 /// semaphore) wraps the wait in a BlockingSection: the scheduler gets one
-/// progression pass, and the thread's core is advertised as available so
-/// nmad offloads work to it.
+/// progression pass on the thread's behalf before it parks (paper: "a
+/// thread enters a blocking section ... the task is processed").
 class BlockingSection {
  public:
-  explicit BlockingSection(Runtime& rt);
-  ~BlockingSection();
+  explicit BlockingSection(Runtime& rt) { rt.schedule_here(); }
 
   BlockingSection(const BlockingSection&) = delete;
   BlockingSection& operator=(const BlockingSection&) = delete;
-
- private:
-  Runtime& rt_;
-  int cpu_;
-  WorkerState saved_ = WorkerState::kIdle;
 };
 
 }  // namespace piom::sched

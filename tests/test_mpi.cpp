@@ -218,29 +218,55 @@ TEST(MpiPioman, ReceiverSideOverlapBeatsBaseline) {
   EXPECT_LT(baseline_ratio, pioman_ratio);
 }
 
-TEST(MpiPioman, SubmissionOffloadTaskRuns) {
-  WorldConfig cfg = fast_config(EngineKind::kPioman);
-  World world(cfg);
+TEST(MpiPioman, SendSubmitsNoTask) {
+  // Deferred sends ride the gate's poll task (paper §IV-B): once the pair
+  // is wired and its poll tasks are submitted, sending submits no task.
+  World world(fast_config(EngineKind::kPioman));
   auto& engine = dynamic_cast<PiomanEngine&>(world.engine(0));
-  const uint64_t submissions_before = engine.task_manager().submissions();
-  char buf[8] = {};
-  std::thread receiver([&] { world.comm(1).recv(0, 3, buf, sizeof(buf)); });
-  world.comm(0).send(1, 3, "off", 4);
+  char wired[8] = {};
+  std::thread receiver(
+      [&] { world.comm(1).recv(0, 3, wired, sizeof(wired)); });
+  world.comm(0).send(1, 3, "wire", 5);
   receiver.join();
-  // At least the offloaded flush task was submitted (plus polling tasks).
-  EXPECT_GT(engine.task_manager().submissions(), submissions_before);
-  EXPECT_STREQ(buf, "off");
+  ASSERT_STREQ(wired, "wire");
+  const uint64_t submissions_before = engine.task_manager().submissions();
+  for (int i = 0; i < 50; ++i) {
+    int out = i, in = -1;
+    Request tx, rx;
+    world.comm(1).irecv(rx, 0, 4, &in, sizeof(in));
+    world.comm(0).isend(tx, 1, 4, &out, sizeof(out));
+    world.comm(1).wait(rx);
+    world.comm(0).wait(tx);
+    EXPECT_EQ(in, out);
+  }
+  EXPECT_EQ(engine.task_manager().submissions(), submissions_before);
 }
 
-TEST(MpiPioman, InlineSubmissionAblationWorks) {
-  WorldConfig cfg = fast_config(EngineKind::kPioman);
-  cfg.pioman.offload_submission = false;
-  World world(cfg);
-  char buf[8] = {};
-  std::thread receiver([&] { world.comm(1).recv(0, 3, buf, sizeof(buf)); });
-  world.comm(0).send(1, 3, "inl", 4);
+TEST(MpiPioman, DeferredSendLeavesWhileSenderComputes) {
+  // isend only queues the message: between isend and wait the sender makes
+  // no library call, so the poll task alone must put the bytes on the wire.
+  World world(fast_config(EngineKind::kPioman));
+  std::atomic<bool> received{false};
+  int in = 0;
+  std::thread receiver([&] {
+    world.comm(1).recv(0, 6, &in, sizeof(in));
+    received.store(true, std::memory_order_release);
+  });
+  const int out = 0x5eed;
+  Request tx;
+  world.comm(0).isend(tx, 1, 6, &out, sizeof(out));
+  const int64_t deadline = util::now_ns() + 5'000'000'000;
+  while (!received.load(std::memory_order_acquire) &&
+         util::now_ns() < deadline) {
+    util::burn_cpu_us(10);  // compute: no library call
+  }
+  const bool arrived_while_computing =
+      received.load(std::memory_order_acquire);
+  world.comm(0).wait(tx);
   receiver.join();
-  EXPECT_STREQ(buf, "inl");
+  EXPECT_TRUE(arrived_while_computing)
+      << "the send left only once the sender called wait";
+  EXPECT_EQ(in, out);
 }
 
 TEST(MpiWorld, MultirailWorldTransfersCorrectly) {

@@ -336,9 +336,10 @@ TEST(NmadStress, ManyMessagesBothDirectionsManyTags) {
 }
 
 TEST(NmadOrdering, ConcurrentFlushesKeepSameTagFifoOrder) {
-  // Non-overtaking under offloaded submission: one thread posts deferred,
+  // Non-overtaking under deferred submission: one thread posts deferred,
   // sequence-stamped sends on a single tag while several threads call
-  // flush() (the PIOMan engine's offloaded flush tasks do exactly this).
+  // flush() (the PIOMan engine's poll tasks of a multi-rail gate, run by
+  // workers, the timer and blocking-section passes, do exactly this).
   // Every receive is pre-posted, so each one completes with whatever
   // arrives next on the wire: any swap shows up as an out-of-order stamp.
   constexpr int kMsgs = 20000;

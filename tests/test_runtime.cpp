@@ -125,45 +125,6 @@ TEST(Runtime, RepeatPollingTaskServicedWhileIdle) {
   EXPECT_LE(poll.remaining.load(), 0);
 }
 
-TEST(Runtime, FindIdleNearPrefersTopologyNeighbours) {
-  Env env(topo::Machine::kwak());
-  // Keep cores 0..3 (the whole first NUMA node) busy.
-  std::atomic<bool> release{false};
-  std::atomic<int> busy{0};
-  for (int c = 1; c < 4; ++c) {
-    env.rt.submit_job(c, [&] {
-      busy.fetch_add(1);
-      while (!release.load()) std::this_thread::yield();
-    });
-  }
-  while (busy.load() < 3) std::this_thread::yield();
-  // From core 0, the nearest idle core is outside its cache group but the
-  // search must return *some* idle core; from core 5, core 4/6/7 (same
-  // cache) must win over more distant ones.
-  const int near5 = env.rt.find_idle_near(5);
-  EXPECT_TRUE(near5 == 4 || near5 == 6 || near5 == 7) << near5;
-  const int near0 = env.rt.find_idle_near(0);
-  EXPECT_GE(near0, 4);  // cores 1-3 busy -> someone from another node
-  release.store(true);
-  env.rt.quiesce();
-}
-
-TEST(Runtime, FindIdleNearReturnsMinusOneWhenSaturated) {
-  Env env(topo::Machine::flat(2));
-  std::atomic<bool> release{false};
-  std::atomic<int> busy{0};
-  for (int c = 0; c < 2; ++c) {
-    env.rt.submit_job(c, [&] {
-      busy.fetch_add(1);
-      while (!release.load()) std::this_thread::yield();
-    });
-  }
-  while (busy.load() < 2) std::this_thread::yield();
-  EXPECT_EQ(env.rt.find_idle_near(0), -1);
-  release.store(true);
-  env.rt.quiesce();
-}
-
 TEST(Runtime, BlockingSectionSchedulesBeforeParking) {
   Env env(topo::Machine::flat(2));
   std::atomic<int> hits{0};

@@ -353,8 +353,8 @@ TEST(ClusterMesh, RejectsMalformedPolicyBeforeWiringAnything) {
 // ----------------------------------------------- heterogeneous-rail gates
 
 /// Pump both gates until `done` (progress is caller-driven here).
-template <typename DoneFn>
-void pump(nmad::Gate& ga, nmad::Gate& gb, DoneFn done) {
+template <typename Pred>
+void pump(nmad::Gate& ga, nmad::Gate& gb, Pred done) {
   const int64_t deadline = util::now_ns() + 20'000'000'000;  // 20 s safety
   while (!done()) {
     ga.progress();
