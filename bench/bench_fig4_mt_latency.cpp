@@ -30,7 +30,6 @@ using piom::mpi::WorldConfig;
 double run_point(EngineKind kind, int nthreads, int iters_per_thread) {
   WorldConfig cfg;
   cfg.engine = kind;
-  cfg.pioman.workers = 4;
   World world(cfg);
 
   constexpr int kWarmupRounds = 4;  // untimed: world spin-up, pool warm-up

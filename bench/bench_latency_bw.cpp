@@ -76,7 +76,6 @@ double bandwidth_MBps(mpi::World& world, std::size_t size, int window,
 mpi::World make_world(mpi::EngineKind kind) {
   mpi::WorldConfig cfg;
   cfg.engine = kind;
-  cfg.pioman.workers = 4;
   return mpi::World(cfg);
 }
 

@@ -93,7 +93,6 @@ inline void run_overlap_figure(const char* figure_name, ComputeSide side,
         mpi::EngineKind::kPioman}) {
     mpi::WorldConfig cfg;
     cfg.engine = kind;
-    cfg.pioman.workers = 4;
     engines.push_back({kind, std::make_unique<mpi::World>(cfg)});
   }
   for (int p = 0; p <= points; ++p) {

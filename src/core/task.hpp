@@ -84,7 +84,7 @@ struct Task {
     return state.load(std::memory_order_acquire) == TaskState::kDone;
   }
 
-  /// Block until completion. Requires kTaskNotify. Cheap spin first.
+  /// Block until completion, parking at once. Requires kTaskNotify.
   void wait_done() { done_sem.wait(); }
 };
 

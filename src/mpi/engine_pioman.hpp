@@ -17,6 +17,7 @@
 //     message never waits for a poll task held by a preempted worker.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -28,14 +29,18 @@
 #include "sched/runtime.hpp"
 #include "sched/timer.hpp"
 #include "sync/spinlock.hpp"
+#include "topo/machine.hpp"
 
 namespace piom::mpi {
 
 struct PiomanEngineConfig {
   /// Simulated cores of the PIOMan node (runtime workers doing the
   /// polling). The node is shared by every rank of a World, so this is the
-  /// World's worker count, not a per-rank one.
-  int workers = 4;
+  /// World's worker count, not a per-rank one. The default leaves the
+  /// application one usable host CPU: the runtime pins the workers to the
+  /// others, so progression runs in the holes of the schedule instead of
+  /// preempting the computation.
+  int workers = std::max(1, topo::usable_cpus().count() - 1);
 };
 
 /// One PIOMan progression node: `workers` simulated cores, the task

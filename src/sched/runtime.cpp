@@ -18,13 +18,18 @@ Runtime::Runtime(const topo::Machine& machine, TaskManager& tm,
   for (int c = 0; c < n; ++c) {
     workers_.push_back(std::make_unique<Worker>());
   }
-  // Host CPUs in order, skipping the application's when there is a spare.
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const int app_cpu = n < hw ? topo::current_host_cpu() : -1;
+  // Usable host CPUs in order, skipping the application's when there is a
+  // spare. Workers beyond the host's CPUs stay unpinned (host CPU -1).
+  topo::CpuSet host = topo::usable_cpus();
+  if (n < host.count()) {
+    const int app_cpu = topo::current_host_cpu();
+    if (host.test(app_cpu)) host.clear(app_cpu);
+  }
+  int host_cpu = host.first();
   for (int c = 0; c < n; ++c) {
-    const int host_cpu = (app_cpu >= 0 && c >= app_cpu) ? c + 1 : c;
     workers_[static_cast<std::size_t>(c)]->thread =
         std::thread([this, c, host_cpu] { worker_loop(c, host_cpu); });
+    if (host_cpu >= 0) host_cpu = host.next(host_cpu);
   }
 }
 

@@ -28,9 +28,10 @@ namespace piom::sched {
 struct RuntimeConfig {
   /// Pin each worker to a host CPU of its own (best effort; ignored when
   /// the host has fewer CPUs or pinning is not permitted). Worker i gets
-  /// host CPU i, except that a host with more CPUs than workers keeps the
-  /// constructing thread's CPU free for the application: progression runs
-  /// on the cores the computation does not use.
+  /// the i-th usable host CPU (topo::usable_cpus()), except that a host
+  /// with more usable CPUs than workers keeps the constructing thread's CPU
+  /// free for the application: progression runs on the cores the
+  /// computation does not use.
   bool pin_threads = true;
   /// Idle iterations of the pure Algorithm-1 walk before a worker escalates
   /// to work stealing (spin → steal → nap): a core that just ran work polls

@@ -1,7 +1,5 @@
 #include "sync/semaphore.hpp"
 
-#include "sync/backoff.hpp"
-
 namespace piom::sync {
 
 void Semaphore::post() {
@@ -14,18 +12,9 @@ void Semaphore::post() {
   }
 }
 
-void Semaphore::wait(int spin_iterations) {
-  // Fast path / bounded spin: completions from the progression engine are
-  // typically a few µs away, cheaper to spin than to park. Plain relax —
-  // NOT exponential backoff — so the spin phase stays a few µs total and a
-  // machine full of waiting threads (Fig 4 at 128 threads) does not burn
-  // whole cores before parking.
-  for (int i = 0; i < spin_iterations; ++i) {
-    if (try_wait()) return;
-    cpu_relax();
-  }
+void Semaphore::wait() {
   const int prev = count_.fetch_sub(1, std::memory_order_acquire);
-  if (prev > 0) return;  // grabbed an available unit after all
+  if (prev > 0) return;  // took an available unit
   std::unique_lock<std::mutex> lk(mutex_);
   cv_.wait(lk, [this] { return wakeups_ > 0; });
   --wakeups_;

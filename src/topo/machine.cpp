@@ -2,7 +2,9 @@
 
 #include <pthread.h>
 #include <sched.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -335,9 +337,24 @@ std::string Machine::to_string() const {
   return os.str();
 }
 
+CpuSet usable_cpus() {
+  CpuSet set;
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(getpid(), sizeof(mask), &mask) == 0) {
+    for (int c = 0; c < CpuSet::kMaxCpus; ++c) {
+      if (CPU_ISSET(static_cast<unsigned>(c), &mask)) set.set(c);
+    }
+  }
+  if (set.empty()) {
+    const int hw = static_cast<int>(std::thread::hardware_concurrency());
+    set = CpuSet::first_n(std::clamp(hw, 1, CpuSet::kMaxCpus));
+  }
+  return set;
+}
+
 bool pin_current_thread(int cpu) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (cpu < 0 || hw == 0 || static_cast<unsigned>(cpu) >= hw) return false;
+  if (!usable_cpus().test(cpu)) return false;
   cpu_set_t set;
   CPU_ZERO(&set);
   CPU_SET(static_cast<unsigned>(cpu), &set);

@@ -127,8 +127,13 @@ class Machine {
   int ncpus_ = 0;
 };
 
+/// Host CPUs this process may run on: the process affinity mask (the main
+/// thread's, so a caller that pinned itself still sees the whole set),
+/// falling back to [0, hardware_concurrency()) when the host does not say.
+[[nodiscard]] CpuSet usable_cpus();
+
 /// Pin the calling thread to host CPU `cpu`. Best effort: returns false,
-/// changing nothing, when `cpu` is not a host CPU or the host denies
+/// changing nothing, when `cpu` is not a usable CPU or the host denies
 /// affinity changes (as some containers do).
 bool pin_current_thread(int cpu);
 

@@ -3,6 +3,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "topo/machine.hpp"
 
@@ -127,6 +128,21 @@ TEST(Machine, DetectDoesNotCrash) {
   for (int c = 0; c < m.ncpus(); ++c) {
     EXPECT_EQ(m.core_node(c).cpus, CpuSet::single(c));
   }
+}
+
+TEST(Machine, UsableCpusIsTheProcessMask) {
+  const CpuSet usable = usable_cpus();
+  ASSERT_FALSE(usable.empty());
+  const int here = current_host_cpu();
+  if (here >= 0) {
+    EXPECT_TRUE(usable.test(here));
+  }
+  // A thread that pins itself narrows its own mask, not the process's.
+  std::thread pinned([&] {
+    if (!pin_current_thread(usable.first())) return;
+    EXPECT_EQ(usable_cpus(), usable);
+  });
+  pinned.join();
 }
 
 TEST(Machine, ToStringMentionsEveryLevel) {

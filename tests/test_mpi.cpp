@@ -2,6 +2,7 @@
 // simulated fabric, for all three progress engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "mpi/engine_globallock.hpp"
+#include "mpi/engine_pioman.hpp"
 #include "mpi/world.hpp"
 #include "sync/semaphore.hpp"
 #include "util/timing.hpp"
@@ -192,7 +194,7 @@ TEST(MpiPioman, ReceiverSideOverlapBeatsBaseline) {
       // before the send is issued, and the receiver computes once it is.
       // An RTS that arrived before irecv would be answered inside irecv by
       // a caller-driven engine: sender-side timing, not receiver overlap.
-      // wait(0) parks at once, so the sender gets the CPU straight away.
+      // wait() parks at once, so the sender gets the CPU straight away.
       Request r;
       const int64_t t0 = util::now_ns();
       world.comm(1).irecv(r, 0, 5, out.data(), out.size());
@@ -203,7 +205,7 @@ TEST(MpiPioman, ReceiverSideOverlapBeatsBaseline) {
         send_posted.post();
         world.comm(0).wait(s);
       });
-      send_posted.wait(0);
+      send_posted.wait();
       util::burn_cpu_us(compute_us);
       world.comm(1).wait(r);
       total_us = static_cast<double>(util::now_ns() - t0) * 1e-3;
@@ -351,6 +353,18 @@ TEST(MpiWorld, ThreadBudgetIsOneNodePerWorld) {
       }
     }
   }
+}
+
+TEST(MpiWorld, DefaultNodeLeavesTheApplicationACpu) {
+  // The default PIOMan node runs one worker per usable host CPU but one:
+  // the runtime pins them away from the constructing thread's CPU, which
+  // stays the application's.
+  const int expected = std::max(1, topo::usable_cpus().count() - 1);
+  WorldConfig cfg;
+  EXPECT_EQ(cfg.pioman.workers, expected);
+  World world(cfg);
+  auto& engine = dynamic_cast<PiomanEngine&>(world.engine(0));
+  EXPECT_EQ(engine.task_manager().machine().ncpus(), expected);
 }
 
 TEST(MpiWorld, RejectsBadConfig) {

@@ -1,7 +1,9 @@
 // Tests for sync primitives: the three lock flavours and the semaphore.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -146,7 +148,7 @@ TEST(Semaphore, WakesParkedWaiter) {
   Semaphore sem;
   std::atomic<bool> woke{false};
   std::thread waiter([&] {
-    sem.wait(/*spin_iterations=*/1);  // park almost immediately
+    sem.wait();  // parks at once
     woke.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -154,6 +156,34 @@ TEST(Semaphore, WakesParkedWaiter) {
   sem.post();
   waiter.join();
   EXPECT_TRUE(woke.load());
+}
+
+/// CPU time (user + system) the calling thread has used, in µs.
+int64_t thread_cpu_us() {
+  rusage ru{};
+  getrusage(RUSAGE_THREAD, &ru);
+  return (ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) * 1'000'000 +
+         ru.ru_utime.tv_usec + ru.ru_stime.tv_usec;
+}
+
+TEST(Semaphore, WaiterParksAtOnce) {
+  // Each wait is answered ~0.5 ms later. A waiter that parks at once burns
+  // a few µs per wait; one that spins before parking burns its whole spin
+  // (4096 pauses ≈ 87 µs, ≈ 17 ms over the 200 waits).
+  constexpr int kWaits = 200;
+  Semaphore sem;
+  int64_t waiter_cpu_us = 0;
+  std::thread waiter([&] {
+    const int64_t before = thread_cpu_us();
+    for (int i = 0; i < kWaits; ++i) sem.wait();
+    waiter_cpu_us = thread_cpu_us() - before;
+  });
+  for (int i = 0; i < kWaits; ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    sem.post();
+  }
+  waiter.join();
+  EXPECT_LT(waiter_cpu_us, 5'000) << "µs of CPU over " << kWaits << " waits";
 }
 
 TEST(Semaphore, ManyProducersManyConsumers) {
@@ -166,7 +196,7 @@ TEST(Semaphore, ManyProducersManyConsumers) {
   for (int t = 0; t < kConsumers; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kProducers * kPerProducer / kConsumers; ++i) {
-        sem.wait(16);
+        sem.wait();
         consumed.fetch_add(1);
       }
     });
