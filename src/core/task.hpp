@@ -33,12 +33,6 @@ enum TaskOptions : uint32_t {
   kTaskRepeat = 1u << 0,
   /// post() the task's semaphore on completion so waiters can block.
   kTaskNotify = 1u << 1,
-  /// Preemptive task (paper §VI future work): "tasks that can be executed
-  /// immediately, even on a distant CPU where a thread is computing". It
-  /// goes to a dedicated urgent queue serviced out-of-band (sched::
-  /// IrqService) and ahead of every hierarchy queue by schedule(); the CPU
-  /// set becomes advisory.
-  kTaskUrgent = 1u << 2,
 };
 
 /// Task lifecycle. Transitions:

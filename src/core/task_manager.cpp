@@ -56,13 +56,7 @@ bool TaskManager::cpu_allowed(const Task& task, int cpu) {
 
 void TaskManager::submit(Task* task) {
   assert(task != nullptr);
-  // Urgent tasks bypass the hierarchy entirely — skip the covering-node
-  // tree walk on that latency-critical path (submit_to ignores the node
-  // for them anyway).
-  const topo::TopoNode& node = (task->options & kTaskUrgent) != 0
-                                   ? machine_.root()
-                                   : machine_.node_covering(task->cpuset);
-  submit_to(task, node);
+  submit_to(task, machine_.node_covering(task->cpuset));
 }
 
 void TaskManager::submit_to(Task* task, const topo::TopoNode& node) {
@@ -74,38 +68,9 @@ void TaskManager::submit_to(Task* task, const topo::TopoNode& node) {
   submissions_.fetch_add(1, std::memory_order_relaxed);
   PIOM_TRACE(util::trace::Kind::kTaskSubmit, task->options,
              reinterpret_cast<uint64_t>(task));
-  if ((task->options & kTaskUrgent) != 0) {
-    // Preemptive path: dedicated queue, out-of-band wakeup.
-    urgent_queue_.enqueue(task);
-    if (urgent_notifier_) urgent_notifier_();
-    return;
-  }
   const topo::TopoNode& home =
       config_.single_global_queue ? machine_.root() : node;
   queues_[static_cast<std::size_t>(home.id)]->enqueue(task);
-}
-
-int TaskManager::run_urgent(int cpu) {
-  int executed = 0;
-  std::size_t budget = urgent_queue_.size_approx();
-  for (std::size_t i = 0; i < budget; ++i) {
-    Task* task = urgent_queue_.try_dequeue();
-    if (task == nullptr) break;
-    // Preemptive semantics: the CPU set is advisory, run it right here.
-    PIOM_TRACE(util::trace::Kind::kUrgentRun, cpu,
-               reinterpret_cast<uint64_t>(task));
-    run_task(task, urgent_queue_, cpu);
-    ++executed;
-  }
-  return executed;
-}
-
-void TaskManager::set_urgent_notifier(std::function<void()> notifier) {
-  urgent_notifier_ = std::move(notifier);
-}
-
-std::size_t TaskManager::urgent_pending_approx() const {
-  return urgent_queue_.size_approx();
 }
 
 ITaskQueue& TaskManager::queue_of(const topo::TopoNode& node) {
@@ -184,8 +149,7 @@ int TaskManager::schedule(int cpu) {
 int TaskManager::schedule_from_level(int cpu, topo::Level shallowest) {
   CoreStatsCell& cs = *core_stats_[static_cast<std::size_t>(cpu)];
   cs.schedule_calls.fetch_add(1, std::memory_order_relaxed);
-  // Urgent tasks first, regardless of the requested depth window.
-  int executed = run_urgent(cpu);
+  int executed = 0;
   // Algorithm 1: "for Queue = Per_Core_Queue to Global_Queue do ..."
   for (const topo::TopoNode* node : machine_.path_to_root(cpu)) {
     if (static_cast<int>(node->level) > static_cast<int>(shallowest)) {
@@ -277,7 +241,7 @@ void TaskManager::wait(Task& task, int cpu) {
 }
 
 std::size_t TaskManager::pending_approx() const {
-  std::size_t total = urgent_queue_.size_approx();
+  std::size_t total = 0;
   for (const auto& q : queues_) total += q->size_approx();
   return total;
 }

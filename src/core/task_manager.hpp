@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -88,7 +87,7 @@ class TaskManager {
   /// (e.g. an anywhere-runnable task dropped into the submitter's per-core
   /// queue for its ~6x cheaper fast path, Table I). Cores outside `node`'s
   /// branch reach such a task only by stealing; with stealing disabled it
-  /// waits for an allowed core under `node`. Urgent tasks ignore the hint.
+  /// waits for an allowed core under `node`.
   void submit_to(Task* task, const topo::TopoNode& node);
 
   /// Algorithm 1, executed on behalf of core `cpu`: drain the Per-Core
@@ -108,18 +107,6 @@ class TaskManager {
   /// schedule() bounded to queues at or above `max_depth_level` — the timer
   /// hook uses this to service only the Global queue.
   int schedule_from_level(int cpu, topo::Level shallowest);
-
-  /// Drain the urgent queue (kTaskUrgent tasks), ignoring CPU sets — the
-  /// whole point of a preemptive task is to run NOW, wherever. Returns the
-  /// number of tasks executed. Called by schedule() and by the IrqService.
-  int run_urgent(int cpu);
-
-  /// Install a callback fired (outside any lock) whenever an urgent task is
-  /// submitted; sched::IrqService uses it to wake its service thread.
-  void set_urgent_notifier(std::function<void()> notifier);
-
-  /// Urgent tasks currently queued (approximate).
-  [[nodiscard]] std::size_t urgent_pending_approx() const;
 
   /// Run at most one task on behalf of `cpu`. Returns true if one ran.
   bool schedule_one(int cpu);
@@ -174,8 +161,6 @@ class TaskManager {
   const topo::Machine& machine_;
   TaskManagerConfig config_;
   std::vector<std::unique_ptr<ITaskQueue>> queues_;  // index = TopoNode::id
-  SpinTaskQueue urgent_queue_;
-  std::function<void()> urgent_notifier_;
   // Fixed array (atomics are not movable, so no vector).
   std::unique_ptr<sync::CacheAligned<CoreStatsCell>[]> core_stats_;
   std::atomic<uint64_t> submissions_{0};

@@ -1,5 +1,6 @@
 #include "sched/runtime.hpp"
 
+#include <chrono>
 #include <functional>
 
 #include "sync/backoff.hpp"
@@ -8,16 +9,24 @@ namespace piom::sched {
 
 namespace {
 thread_local int tls_current_cpu = -1;
+
+/// Idle iterations of the pure Algorithm-1 walk before a worker escalates
+/// to work stealing (spin → steal → nap): a core that just ran work polls
+/// its own branch cheaply first; only a persistently dry core starts
+/// scanning victim queues.
+constexpr int kIdleSpinsBeforeSteal = 4;
+/// How long an idle worker keeps spinning on schedule() before it naps
+/// (it never naps while reachable queues hold tasks, so polling tasks are
+/// serviced continuously — PIOMan busy-polls on idle cores).
+constexpr int kIdleSpinsBeforeNap = 256;
+/// Nap length for a fully idle worker.
+constexpr std::chrono::microseconds kIdleNap{200};
 }  // namespace
 
-Runtime::Runtime(const topo::Machine& machine, TaskManager& tm,
-                 RuntimeConfig config)
-    : machine_(machine), tm_(tm), config_(config) {
+Runtime::Runtime(const topo::Machine& machine, TaskManager& tm)
+    : machine_(machine), tm_(tm) {
   const int n = machine_.ncpus();
   workers_.reserve(static_cast<std::size_t>(n));
-  for (int c = 0; c < n; ++c) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
   // Usable host CPUs in order, skipping the application's when there is a
   // spare. Workers beyond the host's CPUs stay unpinned (host CPU -1).
   topo::CpuSet host = topo::usable_cpus();
@@ -27,8 +36,7 @@ Runtime::Runtime(const topo::Machine& machine, TaskManager& tm,
   }
   int host_cpu = host.first();
   for (int c = 0; c < n; ++c) {
-    workers_[static_cast<std::size_t>(c)]->thread =
-        std::thread([this, c, host_cpu] { worker_loop(c, host_cpu); });
+    workers_.emplace_back([this, c, host_cpu] { worker_loop(c, host_cpu); });
     if (host_cpu >= 0) host_cpu = host.next(host_cpu);
   }
 }
@@ -39,69 +47,32 @@ int Runtime::current_cpu() { return tls_current_cpu; }
 
 void Runtime::worker_loop(int cpu, int host_cpu) {
   tls_current_cpu = cpu;
-  if (config_.pin_threads) topo::pin_current_thread(host_cpu);
-  Worker& w = *workers_[static_cast<std::size_t>(cpu)];
+  // Best effort: a no-op when host_cpu is -1 or pinning is not permitted.
+  topo::pin_current_thread(host_cpu);
   int idle_spins = 0;
   while (running_.load(std::memory_order_acquire)) {
-    // 1. Application jobs have priority (PIOMan only consumes *holes* in the
-    //    schedule; it never steals time from computation).
-    std::function<void()> job;
-    if (w.pending_jobs.load(std::memory_order_acquire) > 0) {
-      std::lock_guard<std::mutex> lk(w.mutex);
-      if (!w.jobs.empty()) {
-        job = std::move(w.jobs.front());
-        w.jobs.pop_front();
-        w.pending_jobs.fetch_sub(1, std::memory_order_release);
-      }
-    }
-    if (job) {
-      w.state.store(WorkerState::kBusy, std::memory_order_release);
-      job();
-      w.state.store(WorkerState::kIdle, std::memory_order_release);
-      jobs_run_.fetch_add(1, std::memory_order_release);
-      idle_spins = 0;
-      continue;
-    }
-    // 2. Idle hook: run communication tasks. Escalation ladder: a freshly
+    // 1. Idle hook: run communication tasks. Escalation ladder: a freshly
     //    idle core walks only its own branch (Algorithm 1); one that stayed
     //    dry escalates to the stealing walk; a fully idle one naps below.
-    const int executed = (idle_spins < config_.idle_spins_before_steal)
+    const int executed = (idle_spins < kIdleSpinsBeforeSteal)
                              ? tm_.schedule_from_level(cpu, topo::Level::kCore)
                              : tm_.schedule(cpu);
     if (executed > 0) {
       idle_spins = 0;
       continue;
     }
-    // 3. Fully idle. Keep spinning while any queue holds tasks somewhere
+    // 2. Fully idle. Keep spinning while any queue holds tasks somewhere
     //    (they may become reachable / repeatable polls need servicing),
-    //    otherwise nap until a job arrives.
+    //    otherwise nap.
     ++idle_spins;
-    if (idle_spins < config_.idle_spins_before_nap ||
-        tm_.pending_approx() > 0) {
+    if (idle_spins < kIdleSpinsBeforeNap || tm_.pending_approx() > 0) {
       sync::cpu_relax();
       continue;
     }
-    std::unique_lock<std::mutex> lk(w.mutex);
-    w.cv.wait_for(lk, config_.idle_nap, [&] {
-      return !w.jobs.empty() || !running_.load(std::memory_order_acquire);
-    });
+    std::this_thread::sleep_for(kIdleNap);
     idle_spins = 0;
   }
   tls_current_cpu = -1;
-}
-
-void Runtime::submit_job(int cpu, std::function<void()> job) {
-  if (cpu < 0 || cpu >= ncpus()) {
-    throw std::out_of_range("Runtime::submit_job: bad cpu");
-  }
-  Worker& w = *workers_[static_cast<std::size_t>(cpu)];
-  {
-    std::lock_guard<std::mutex> lk(w.mutex);
-    w.jobs.push_back(std::move(job));
-    w.pending_jobs.fetch_add(1, std::memory_order_release);
-  }
-  jobs_submitted_.fetch_add(1, std::memory_order_release);
-  w.cv.notify_one();
 }
 
 int Runtime::schedule_here() {
@@ -115,35 +86,11 @@ int Runtime::schedule_here() {
   return tm_.schedule(cpu);
 }
 
-void Runtime::quiesce() {
-  sync::Backoff backoff;
-  for (;;) {
-    if (jobs_run_.load(std::memory_order_acquire) ==
-        jobs_submitted_.load(std::memory_order_acquire)) {
-      bool all_idle = true;
-      for (const auto& w : workers_) {
-        if (w->state.load(std::memory_order_acquire) == WorkerState::kBusy) {
-          all_idle = false;
-          break;
-        }
-      }
-      if (all_idle) return;
-    }
-    backoff.spin();
-  }
-}
-
 void Runtime::stop() {
   bool expected = true;
   if (!running_.compare_exchange_strong(expected, false)) return;
-  for (auto& w : workers_) {
-    {
-      std::lock_guard<std::mutex> lk(w->mutex);
-    }
-    w->cv.notify_all();
-  }
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
+  for (std::thread& w : workers_) {
+    if (w.joinable()) w.join();
   }
 }
 

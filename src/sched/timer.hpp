@@ -5,8 +5,9 @@
 // A real kernel/MARCEL delivers a timer interrupt on every core; on top of
 // plain POSIX threads we emulate it with one periodic thread that performs a
 // progression pass *on behalf of* one core per tick (round-robin). Without
-// this, a machine whose every core runs CPU-hungry jobs that never block
-// would deadlock: nobody polls, requests never complete (the paper's exact
+// this, a machine whose every core is held by computation that never
+// blocks (an application thread, or a task that does not return) would
+// deadlock: nobody polls, requests never complete (the paper's exact
 // motivation for the timer hook).
 #pragma once
 

@@ -1,4 +1,4 @@
-// FdPoller: the readiness half of the AIO layer — a thin epoll wrapper
+// FdPoller: socket readiness for the tcp backend — a thin epoll wrapper
 // (poll(2) fallback off Linux) that the socket transport registers its fds
 // with. There is deliberately no thread in here: whoever calls wait() owns
 // the events, which is how the event loop coexists with all three progress
@@ -9,7 +9,7 @@
 #include <cstddef>
 #include <unordered_map>
 
-namespace piom::aio {
+namespace piom::transport {
 
 class FdPoller {
  public:
@@ -41,4 +41,4 @@ class FdPoller {
   std::unordered_map<int, void*> tags_;
 };
 
-}  // namespace piom::aio
+}  // namespace piom::transport

@@ -50,7 +50,6 @@ const char* kind_name(Kind k) {
     case Kind::kTaskRun: return "task-run";
     case Kind::kTaskDone: return "task-done";
     case Kind::kTaskRequeue: return "task-requeue";
-    case Kind::kUrgentRun: return "urgent-run";
     case Kind::kTaskSteal: return "task-steal";
     case Kind::kSchedulePass: return "schedule";
     case Kind::kPacketTx: return "packet-tx";

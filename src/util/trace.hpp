@@ -19,7 +19,6 @@ enum class Kind : uint8_t {
   kTaskRun = 2,
   kTaskDone = 3,
   kTaskRequeue = 4,
-  kUrgentRun = 5,
   kTaskSteal = 9,
   kSchedulePass = 6,
   kPacketTx = 7,

@@ -5,13 +5,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <thread>
 #include <vector>
 
+#include "core/task.hpp"
 #include "core/task_manager.hpp"
 #include "sched/runtime.hpp"
 #include "sched/timer.hpp"
-#include "sync/semaphore.hpp"
 #include "util/timing.hpp"
 
 namespace piom::sched {
@@ -22,42 +23,42 @@ struct Env {
   TaskManager tm;
   Runtime rt;
 
-  explicit Env(topo::Machine m, RuntimeConfig cfg = {})
-      : machine(std::move(m)), tm(machine), rt(machine, tm, cfg) {}
+  explicit Env(topo::Machine m)
+      : machine(std::move(m)), tm(machine), rt(machine, tm) {}
 };
 
-TEST(Runtime, RunsSubmittedJobs) {
-  Env env(topo::Machine::flat(4));
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    env.rt.submit_job(i % 4, [&] { ran.fetch_add(1); });
-  }
-  env.rt.quiesce();
-  EXPECT_EQ(ran.load(), 16);
-  EXPECT_EQ(env.rt.jobs_run(), 16u);
-}
-
-TEST(Runtime, JobsSeeTheirCpu) {
+TEST(Runtime, TasksSeeTheirCpu) {
   Env env(topo::Machine::flat(4));
   std::atomic<int> seen_cpu{-1};
-  env.rt.submit_job(2, [&] { seen_cpu.store(Runtime::current_cpu()); });
-  env.rt.quiesce();
+  FunctionTask probe(
+      [&] {
+        seen_cpu.store(Runtime::current_cpu());
+        return TaskResult::kDone;
+      },
+      topo::CpuSet::single(2), kTaskNotify);
+  env.tm.submit(&probe.task());
+  probe.wait_done();
   EXPECT_EQ(seen_cpu.load(), 2);
   EXPECT_EQ(Runtime::current_cpu(), -1);  // the test thread is foreign
 }
 
-// Host CPU each worker of `rt` runs its jobs on.
+// Host CPU each worker of `rt` runs on: one task pinned to each simulated
+// core records where it ran. Stealing respects CPU sets, so only worker c
+// can run task c.
 std::vector<int> worker_host_cpus(Runtime& rt) {
-  std::vector<std::atomic<int>> seen(static_cast<std::size_t>(rt.ncpus()));
+  std::vector<int> out(static_cast<std::size_t>(rt.ncpus()), -1);
+  std::deque<FunctionTask> probes;
   for (int c = 0; c < rt.ncpus(); ++c) {
-    seen[static_cast<std::size_t>(c)].store(-1);
-    rt.submit_job(c, [&seen, c] {
-      seen[static_cast<std::size_t>(c)].store(topo::current_host_cpu());
-    });
+    int* slot = &out[static_cast<std::size_t>(c)];
+    probes.emplace_back(
+        [slot] {
+          *slot = topo::current_host_cpu();
+          return TaskResult::kDone;
+        },
+        topo::CpuSet::single(c), kTaskNotify);
+    rt.task_manager().submit(&probes.back().task());
   }
-  rt.quiesce();
-  std::vector<int> out;
-  for (auto& s : seen) out.push_back(s.load());
+  for (FunctionTask& p : probes) p.wait_done();
   return out;
 }
 
@@ -90,7 +91,7 @@ TEST(Runtime, WorkerIPinnedToCpuIWhenWorkersFillTheHost) {
 }
 
 TEST(Runtime, IdleHookExecutesTasks) {
-  // Submit a task with no job pressure: an idle worker must pick it up
+  // Submit a task to an otherwise idle runtime: a worker must pick it up
   // without anyone calling schedule() explicitly.
   Env env(topo::Machine::flat(4));
   std::atomic<int> hits{0};
@@ -149,25 +150,34 @@ TEST(Runtime, BlockingSectionSchedulesBeforeParking) {
 }
 
 TEST(Runtime, TimerHookGuaranteesProgressWhenAllCoresBusy) {
-  // The paper's deadlock scenario: every core runs a CPU-hungry job that
-  // never blocks; without the timer hook the polling task would starve.
+  // The paper's deadlock scenario: every core runs a CPU-hungry task that
+  // never returns; without the timer hook the polling task would starve.
   topo::Machine machine = topo::Machine::flat(2);
   TaskManager tm(machine);
-  RuntimeConfig cfg;
-  Runtime rt(machine, tm, cfg);
+  Runtime rt(machine, tm);
+
+  std::atomic<int> spinners_started{0};
+  std::atomic<bool> release{false};
+  // Occupy both workers with pinned tasks that spin until released.
+  std::deque<FunctionTask> spinners;
+  for (int c = 0; c < 2; ++c) {
+    spinners.emplace_back(
+        [&] {
+          spinners_started.fetch_add(1);
+          while (!release.load(std::memory_order_acquire)) {
+            // busy: never returns to the idle hook
+          }
+          return TaskResult::kDone;
+        },
+        topo::CpuSet::single(c), kTaskNotify);
+    tm.submit(&spinners.back().task());
+  }
+  while (spinners_started.load() < 2) std::this_thread::yield();
+  // Start the timer only now: earlier, its thread could pick up a spinner
+  // itself and never tick again.
   TimerHook timer(tm, std::chrono::microseconds(200));
 
   std::atomic<bool> task_ran{false};
-  std::atomic<bool> stop_jobs{false};
-  // Occupy both workers with spinning jobs.
-  for (int c = 0; c < 2; ++c) {
-    rt.submit_job(c, [&] {
-      while (!stop_jobs.load(std::memory_order_acquire)) {
-        // busy: never yields to the idle hook
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
   Task t;
   t.init(
       [](void* arg) {
@@ -178,18 +188,18 @@ TEST(Runtime, TimerHookGuaranteesProgressWhenAllCoresBusy) {
   tm.submit(&t);
   const int64_t deadline = util::now_ns() + 2'000'000'000;
   while (!t.completed() && util::now_ns() < deadline) std::this_thread::yield();
-  stop_jobs.store(true);
-  rt.quiesce();
+  release.store(true, std::memory_order_release);
+  for (FunctionTask& s : spinners) s.wait_done();
   EXPECT_TRUE(task_ran.load()) << "timer hook failed to rescue the task";
   EXPECT_GT(timer.ticks(), 0u);
   EXPECT_GE(timer.tasks_run(), 1u);
 }
 
-TEST(Runtime, StressJobsAndTasksTogether) {
+TEST(Runtime, StressBurnAndCountingTasksTogether) {
   Env env(topo::Machine::kwak());
-  constexpr int kJobs = 200;
+  constexpr int kBurns = 200;
   constexpr int kTasks = 500;
-  std::atomic<int> jobs_done{0};
+  std::atomic<int> burns_done{0};
   std::atomic<int> tasks_done{0};
   std::deque<Task> tasks(kTasks);
   for (int i = 0; i < kTasks; ++i) {
@@ -200,32 +210,39 @@ TEST(Runtime, StressJobsAndTasksTogether) {
         },
         &tasks_done, topo::CpuSet::single(i % 16), kTaskNone);
   }
+  std::deque<FunctionTask> burns;
+  for (int i = 0; i < kBurns; ++i) {
+    burns.emplace_back(
+        [&] {
+          util::burn_cpu_us(50);
+          burns_done.fetch_add(1);
+          return TaskResult::kDone;
+        },
+        topo::CpuSet::single(i % 16), kTaskNone);
+  }
   std::thread submitter([&] {
     for (auto& t : tasks) env.tm.submit(&t);
   });
-  for (int i = 0; i < kJobs; ++i) {
-    env.rt.submit_job(i % 16, [&] {
-      util::burn_cpu_us(50);
-      jobs_done.fetch_add(1);
-    });
-  }
+  for (auto& b : burns) env.tm.submit(&b.task());
   submitter.join();
-  env.rt.quiesce();
   const int64_t deadline = util::now_ns() + 5'000'000'000;
-  while (tasks_done.load() < kTasks && util::now_ns() < deadline) {
+  while ((burns_done.load() < kBurns || tasks_done.load() < kTasks) &&
+         util::now_ns() < deadline) {
     std::this_thread::yield();
   }
-  EXPECT_EQ(jobs_done.load(), kJobs);
+  EXPECT_EQ(burns_done.load(), kBurns);
   EXPECT_EQ(tasks_done.load(), kTasks);
   // Task lifetime contract: storage must stay alive until completed() —
   // the counter bump happens *inside* the task fn, before the scheduler's
-  // final state store, so wait for each task before the deque dies.
-  for (auto& t : tasks) {
+  // final state store, so wait for each task before the deques die.
+  const auto await = [&](const auto& t) {
     while (!t.completed() && util::now_ns() < deadline) {
       std::this_thread::yield();
     }
     EXPECT_TRUE(t.completed());
-  }
+  };
+  for (const auto& t : tasks) await(t);
+  for (const auto& b : burns) await(b);
 }
 
 TEST(Runtime, StopIsIdempotentAndDtorSafe) {

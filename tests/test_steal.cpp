@@ -169,16 +169,6 @@ TEST_F(StealKwak, FlatOrderAblationStillFindsWork) {
   EXPECT_TRUE(t.completed());
 }
 
-TEST_F(StealKwak, UrgentTasksIgnoreTheLocalityHint) {
-  Counter c;
-  Task t;
-  t.init(&count_hit, &c, {}, kTaskUrgent);
-  tm_.submit_to(&t, machine_.core_node(12));
-  EXPECT_EQ(tm_.queue_of(machine_.core_node(12)).size_approx(), 0u);
-  EXPECT_EQ(tm_.urgent_pending_approx(), 1u);
-  EXPECT_EQ(tm_.run_urgent(5), 1);
-}
-
 TEST_F(StealKwak, ResetStatsClearsStealCounters) {
   Counter c;
   Task t;

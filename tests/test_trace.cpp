@@ -148,7 +148,7 @@ TEST_F(TraceTest, FormatIsHumanReadable) {
 
 TEST(TraceNames, AllKindsNamed) {
   for (const Kind k : {Kind::kTaskSubmit, Kind::kTaskRun, Kind::kTaskDone,
-                       Kind::kTaskRequeue, Kind::kUrgentRun,
+                       Kind::kTaskRequeue, Kind::kTaskSteal,
                        Kind::kSchedulePass, Kind::kPacketTx, Kind::kPacketRx,
                        Kind::kUser}) {
     EXPECT_STRNE(kind_name(k), "?");

@@ -3,6 +3,8 @@
 // mixed-backend (hybrid) gates — eager on the fast rail, bulk striped
 // across heterogeneous rails.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <cstring>
@@ -15,6 +17,7 @@
 #include "transport/channel.hpp"
 #include "transport/cluster.hpp"
 #include "transport/endpoint.hpp"
+#include "transport/fd_poll.hpp"
 #include "transport/shmem.hpp"
 #include "transport/tcp.hpp"
 #include "util/timing.hpp"
@@ -662,6 +665,41 @@ TEST(TcpTransportFace, FactoryFacesAgree) {
   // One endpoint per node transport, not two on one.
   EXPECT_EQ(cluster.tcp_node(0).channel_count(), 1u);
   EXPECT_EQ(cluster.tcp_node(1).channel_count(), 1u);
+}
+
+TEST(FdPoller, ReportsReadableHangupAndNothingAfterRemove) {
+  int watched[2];
+  int idle[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, watched), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, idle), 0);
+  FdPoller poller;
+  int tag = 0;
+  int idle_tag = 0;
+  poller.add(watched[0], &tag);
+  poller.add(idle[0], &idle_tag);  // keeps the set non-empty after remove()
+  EXPECT_EQ(poller.watched(), 2u);
+  FdPoller::Event evs[4];
+  EXPECT_EQ(poller.wait(evs, 4, 0), 0);
+
+  const char byte = 'x';
+  ASSERT_EQ(::write(watched[1], &byte, 1), 1);
+  ASSERT_EQ(poller.wait(evs, 4, 1000), 1);
+  EXPECT_EQ(evs[0].tag, &tag);
+  EXPECT_TRUE(evs[0].readable);
+  EXPECT_FALSE(evs[0].hangup);
+
+  ::close(watched[1]);
+  ASSERT_EQ(poller.wait(evs, 4, 1000), 1);
+  EXPECT_EQ(evs[0].tag, &tag);
+  EXPECT_TRUE(evs[0].hangup);
+
+  // Level-triggered, so the fd is still ready; removed, it reports nothing.
+  poller.remove(watched[0]);
+  EXPECT_EQ(poller.watched(), 1u);
+  EXPECT_EQ(poller.wait(evs, 4, 0), 0);
+  ::close(watched[0]);
+  ::close(idle[0]);
+  ::close(idle[1]);
 }
 
 // --------------------------------------------------- tcp policy + mesh

@@ -26,8 +26,8 @@ Rules
                        `ctest ... -j` (a bare -j swallows the next
                        argument).
   thread-owner         `std::thread` (or `std::jthread`) objects only under
-                       src/sched/ and src/aio/: transport backends have no
-                       IO thread, whoever polls progresses them.
+                       src/sched/: transport backends have no IO thread,
+                       whoever polls progresses them.
                        Static members (`std::thread::hardware_concurrency`)
                        are fine.
 
@@ -282,7 +282,7 @@ def scan_cpp(rel, text, spinlocks, callbacks, cb_containers, findings):
 # thread-owner rule
 # ---------------------------------------------------------------------------
 
-THREAD_OWNERS = ("src/sched/", "src/aio/")
+THREAD_OWNERS = ("src/sched/",)
 THREAD_TYPE = re.compile(r"\bstd::j?thread\b(?!\s*::)")
 
 
@@ -292,7 +292,7 @@ def scan_thread_owner(rel, text, findings):
     for lineno, line in enumerate(text.split("\n"), start=1):
         if THREAD_TYPE.search(line):
             findings.append((rel, lineno, "thread-owner",
-                             "std::thread outside src/sched/ and src/aio/ "
+                             "std::thread outside src/sched/ "
                              "(progress by polling, or schedule a task)"))
 
 
